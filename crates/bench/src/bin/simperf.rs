@@ -30,6 +30,10 @@
 //!   any scheme's geomean refs/sec regressed more than `--threshold`
 //! * `--threshold F`   allowed fractional regression for `--check`
 //!   (default 0.30)
+//! * `--help`          print usage and exit
+//!
+//! An unknown flag, a missing value or an unparsable value (including an
+//! unknown name in `PIPM_WORKLOADS`) prints usage to stderr and exits 2.
 //!
 //! Runs execute *serially* so each measurement owns the machine; one
 //! warm-up run absorbs first-touch page faults and lazy init.
@@ -41,6 +45,11 @@ use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::time::Instant;
 
+const USAGE: &str = "\
+usage: simperf [--refs N] [--seed N] [--workloads a,b] [--schemes a,b]
+               [--out PATH|-] [--check PATH] [--threshold F]
+       simperf --help";
+
 struct Record {
     scheme: SchemeKind,
     workload: Workload,
@@ -49,45 +58,92 @@ struct Record {
     exec_cycles: u64,
 }
 
-fn main() {
-    let mut refs_per_core: u64 = std::env::var("PIPM_PERF_REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40_000);
-    let mut seed: u64 = 7;
-    let mut workloads: Vec<Workload> = match std::env::var("PIPM_WORKLOADS") {
-        Ok(list) => parse_workloads(&list),
-        Err(_) => Workload::ALL.to_vec(),
-    };
-    let mut schemes: Vec<SchemeKind> = SchemeKind::ALL.to_vec();
-    let mut out_path = String::from("BENCH_simperf.json");
-    let mut check_path: Option<String> = None;
-    let mut threshold = 0.30_f64;
+/// Parsed command line (defaults filled in from the environment).
+struct Options {
+    refs_per_core: u64,
+    seed: u64,
+    workloads: Vec<Workload>,
+    schemes: Vec<SchemeKind>,
+    out_path: String,
+    check_path: Option<String>,
+    threshold: f64,
+}
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--refs" => refs_per_core = need(i).parse().expect("--refs: not a number"),
-            "--seed" => seed = need(i).parse().expect("--seed: not a number"),
-            "--workloads" => workloads = parse_workloads(need(i)),
-            "--schemes" => {
-                schemes = need(i)
-                    .split(',')
-                    .map(|s| s.parse().expect("unknown scheme"))
-                    .collect()
-            }
-            "--out" => out_path = need(i).clone(),
-            "--check" => check_path = Some(need(i).clone()),
-            "--threshold" => threshold = need(i).parse().expect("--threshold: not a number"),
-            other => panic!("unknown argument `{other}`"),
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+    let mut o = Options {
+        refs_per_core: std::env::var("PIPM_PERF_REFS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(40_000),
+        seed: 7,
+        workloads: match std::env::var("PIPM_WORKLOADS") {
+            Ok(list) => parse_list(&list).map_err(|e| format!("PIPM_WORKLOADS: {e}"))?,
+            Err(_) => Workload::ALL.to_vec(),
+        },
+        schemes: SchemeKind::ALL.to_vec(),
+        out_path: String::from("BENCH_simperf.json"),
+        check_path: None,
+        threshold: 0.30,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if flag == "--help" || flag == "-h" {
+            return Ok(None);
         }
-        i += 2;
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
+        match flag.as_str() {
+            "--refs" => o.refs_per_core = value.parse().map_err(|e| bad(&e))?,
+            "--seed" => o.seed = value.parse().map_err(|e| bad(&e))?,
+            "--workloads" => o.workloads = parse_list(value).map_err(|e| bad(&e))?,
+            "--schemes" => o.schemes = parse_list(value).map_err(|e| bad(&e))?,
+            "--out" => o.out_path = value.clone(),
+            "--check" => o.check_path = Some(value.clone()),
+            "--threshold" => o.threshold = value.parse().map_err(|e| bad(&e))?,
+            _ => return Err(format!("unknown argument `{flag}`")),
+        }
     }
+    Ok(Some(o))
+}
+
+/// Parses a non-empty comma-separated list.
+fn parse_list<T: std::str::FromStr>(list: &str) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = list
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| s.trim().parse().map_err(|e: T::Err| e.to_string()))
+        .collect::<Result<Vec<T>, String>>()?;
+    if v.is_empty() {
+        return Err("empty list".into());
+    }
+    Ok(v)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        refs_per_core,
+        seed,
+        workloads,
+        schemes,
+        out_path,
+        check_path,
+        threshold,
+    } = match parse_args(&args) {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("simperf: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     let commit = git_commit();
     let date = utc_date();
@@ -164,16 +220,6 @@ fn main() {
     if let Some(base) = check_path {
         std::process::exit(check_regression(&base, &records, threshold));
     }
-}
-
-fn parse_workloads(list: &str) -> Vec<Workload> {
-    let v: Vec<Workload> = list
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.trim().parse().expect("unknown workload"))
-        .collect();
-    assert!(!v.is_empty(), "empty workload list");
-    v
 }
 
 fn geomean(xs: &[f64]) -> f64 {

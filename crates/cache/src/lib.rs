@@ -9,30 +9,27 @@
 //!
 //! # Layout
 //!
-//! Tags and recency live in flat, packed `u64` arrays (`sets × ways`
-//! lanes), so probing a set is a tight compare loop over contiguous
-//! lanes — branch-predictable and autovectorizable — instead of a
-//! pointer chase through per-way structs. Empty lanes hold a sentinel
-//! tag (`u64::MAX`, which no key projects to), so a probe scans the
-//! whole fixed-width set without first loading the set's occupancy: a
-//! miss touches *only* the tag lanes (one cache line for an 8-way set),
-//! never the payload vectors. The `(key, metadata, recency)` payloads
-//! live in per-set vectors whose lane order mirrors the tag lanes
-//! exactly; a set's occupancy is its payload vector's length. Recency
-//! rides in the payload tuple rather than a second packed array: probes
-//! only need it on a hit, when the payload line is loaded anyway, so a
-//! separate array would cost an extra cache miss per hit for nothing.
+//! Every structure shares one layout, filled lazily. Each set has a
+//! one-word *head* holding the offset of the set's block of lanes in a
+//! shared lane store, the block's size and the set's occupancy; each lane
+//! is a `(key, metadata, last_use)` tuple. A probe loads the head, then
+//! scans the occupied lanes in place: one dependent load from head to
+//! lanes, no per-set vector header to chase. A set reaches the lane store
+//! only on its first insert, which appends a block of four lanes (or
+//! `ways`, if fewer); a set that fills its block moves, lanes in order, to
+//! an appended block twice the size, up to `ways`. Memory and clone cost
+//! therefore grow with the entries a run actually holds, never with the
+//! geometry: the device directory's sets average under two entries, so
+//! its probes stay within a few dense cache lines. Nothing at all is
+//! allocated before the first insert, which allocates the head array
+//! zeroed: an untouched head is all zero bits, so even the 2²⁶-lane
+//! remapping cache of the Fig. 16/17 `inf` point costs one `calloc`ed
+//! array whose untouched pages stay unwritten.
 //!
-//! Packed tags pay for themselves only when sets run dense and hot (an
-//! L1 probe scans 8 lanes in one resident cache line instead of chasing
-//! a payload pointer). For sparse giants — the 512 Ki-lane CXL device
-//! directory sits mostly empty, its sets holding a couple of entries —
-//! the fixed-width scan drags two *cold* tag lines into cache that the
-//! payload walk never needed, measurably doubling probe cost. Such
-//! structures should use [`SetAssoc::new_sparse`], which skips the tag
-//! array entirely and probes the payload tuples in place (the original
-//! layout). Both layouts maintain identical lane order, recency, and
-//! victim selection, so simulation results are bit-identical either way.
+//! Within a set, lanes `0..len` are occupied in insertion order; removal
+//! moves the last occupied lane into the hole (`Vec::swap_remove`
+//! order), and the LRU victim is the lowest lane with the oldest
+//! `last_use`.
 //!
 //! # Example
 //!
@@ -59,16 +56,8 @@ use pipm_types::{LineAddr, PageNum};
 ///
 /// This trait is sealed in spirit: it is implemented for the address types
 /// used by the simulator ([`LineAddr`], [`PageNum`], and `u64`).
-///
-/// `as_index` must be **injective**: two distinct keys must project to
-/// distinct integers, because the packed tag array compares projections
-/// in place of keys. It must also never return `u64::MAX`, which the tag
-/// array reserves as its empty-lane sentinel. All three implementations
-/// are raw-value identities over address-like values far below the
-/// sentinel, so both properties hold trivially.
 pub trait CacheKey: Copy + Eq + std::fmt::Debug {
-    /// A stable integer projection of the key, used for set selection and
-    /// tag comparison.
+    /// A stable integer projection of the key, used for set selection.
     fn as_index(self) -> u64;
 }
 
@@ -116,12 +105,21 @@ impl CacheStats {
     }
 }
 
-/// Sentinel tag marking an unoccupied lane. [`CacheKey::as_index`] is
-/// forbidden from producing this value, so empty lanes can never match.
-const EMPTY: u64 = u64::MAX;
+/// Head flag marking a set whose lane block has been allocated. An
+/// untouched set's head is zero, so a fresh head array is all zero bits.
+const TOUCHED: u64 = 1 << 31;
+
+/// Head bits below [`TOUCHED`]: the block's capacity exponent from bit
+/// `CAP_SHIFT` up, the set's occupancy below it.
+const CAP_SHIFT: u32 = 26;
+
+/// log₂ of a set's first block size (capped at `ways`). The device
+/// directory's and remapping caches' sets mostly hold one or two entries,
+/// so their lanes stay dense; a full block moves to one twice its size.
+const FIRST_BLOCK_LOG2: u64 = 2;
 
 /// A set-associative, LRU-replaced tag structure with per-entry metadata.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SetAssoc<K, M> {
     sets: usize,
     ways: usize,
@@ -129,32 +127,50 @@ pub struct SetAssoc<K, M> {
     /// the per-access set index is a mask instead of a hardware divide;
     /// `u64::MAX` sentinel otherwise (fall back to `%`).
     set_mask: u64,
-    /// Packed tag lanes, `sets × ways`; lane `s * ways + i` is valid for
-    /// `i < entries[s].len()`. Lanes past a set's occupancy hold the
-    /// [`EMPTY`] sentinel, which no key projects to, so a probe scans the
-    /// fixed set width without consulting the occupancy at all. Empty for
-    /// sparse-layout structures ([`Self::new_sparse`]), which probe the
-    /// payload tuples directly.
-    tags: Vec<u64>,
-    /// Per-set `(key, metadata, last_use)` payloads in tag-lane order. A
-    /// set's occupancy is its vector's length; payload storage is
-    /// allocated lazily on first insert (large, mostly-empty structures —
-    /// the CXL device directory is 512 Ki ways — would otherwise pay tens
-    /// of thousands of upfront allocations per simulated system).
-    entries: Vec<Vec<(K, M, u64)>>,
+    /// One head per set: the lane-store offset of the set's block in the
+    /// high 32 bits, [`TOUCHED`], the block's capacity exponent and the
+    /// occupancy. Zero means the set has never been written and owns no
+    /// lanes. The array itself stays unallocated until the first insert.
+    heads: Vec<u64>,
+    /// `(key, metadata, last_use)` lanes: per set, a block of
+    /// `min(2^k, ways)` lanes, appended when the set is first written or
+    /// outgrows its block. Lanes past a set's occupancy, and blocks a set
+    /// has moved out of, are stale; every lane holds a key of its set.
+    lanes: Vec<(K, M, u64)>,
     tick: u64,
     stats: CacheStats,
 }
 
-impl<K: CacheKey, M> SetAssoc<K, M> {
-    /// Creates a structure with `sets` sets of `ways` ways.
+/// Splits a head into `(block offset, occupancy)`; `(0, 0)` if untouched.
+#[inline]
+fn unpack(head: u64) -> (usize, usize) {
+    (
+        (head >> 32) as usize,
+        (head & ((1 << CAP_SHIFT) - 1)) as usize,
+    )
+}
+
+/// The head of a touched set.
+fn pack(base: usize, cap_log2: u64, len: usize) -> u64 {
+    (base as u64) << 32 | TOUCHED | cap_log2 << CAP_SHIFT | len as u64
+}
+
+impl<K: CacheKey, M: Copy> SetAssoc<K, M> {
+    /// Creates a structure with `sets` sets of `ways` ways. Nothing is
+    /// allocated until the first insert.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or if the structure would hold
+    /// more than 2³¹ lanes (moved-out blocks at most double the lane store,
+    /// whose offsets are 32-bit) or 2²⁶ ways.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be nonzero");
         let lanes = sets.checked_mul(ways).expect("cache geometry overflow");
+        assert!(
+            lanes as u64 <= 1 << 31 && ways < 1 << CAP_SHIFT,
+            "cache geometry overflow"
+        );
         SetAssoc {
             sets,
             ways,
@@ -163,33 +179,8 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
             } else {
                 u64::MAX
             },
-            tags: vec![EMPTY; lanes],
-            entries: (0..sets).map(|_| Vec::new()).collect(),
-            tick: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Creates a structure with `sets` sets of `ways` ways, laid out for
-    /// structures expected to run mostly empty (e.g. the CXL device
-    /// directory, whose occupancy is bounded by what hosts actually
-    /// cache). Probes walk the per-set payload tuples directly instead of
-    /// a packed tag array, which is faster when a set holds a couple of
-    /// entries and its tag lines would be cold. Behaviorally identical to
-    /// [`Self::new`].
-    pub fn new_sparse(sets: usize, ways: usize) -> Self {
-        assert!(sets > 0 && ways > 0, "cache geometry must be nonzero");
-        sets.checked_mul(ways).expect("cache geometry overflow");
-        SetAssoc {
-            sets,
-            ways,
-            set_mask: if sets.is_power_of_two() {
-                sets as u64 - 1
-            } else {
-                u64::MAX
-            },
-            tags: Vec::new(),
-            entries: (0..sets).map(|_| Vec::new()).collect(),
+            heads: Vec::new(),
+            lanes: Vec::new(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -212,16 +203,18 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
 
     /// Number of valid entries currently stored.
     pub fn len(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
+        self.heads.iter().map(|&h| unpack(h).1).sum()
     }
 
     /// Whether the structure holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(Vec::is_empty)
+        self.heads.iter().all(|&h| unpack(h).1 == 0)
     }
 
+    /// The set `key` maps to.
     #[inline]
-    fn set_of(&self, idx: u64) -> usize {
+    fn set_of(&self, key: K) -> usize {
+        let idx = key.as_index();
         if self.set_mask != u64::MAX {
             (idx & self.set_mask) as usize
         } else {
@@ -229,20 +222,22 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
         }
     }
 
-    /// Scans one set's packed tag lanes for `tag`: a fixed-width compare
-    /// loop over the whole set (empty lanes hold [`EMPTY`] and cannot
-    /// match), so a miss touches only the tag array — no occupancy load,
-    /// no payload pointer chase.
+    /// The set `key` maps to and that set's head (zero if untouched).
     #[inline]
-    fn find_lane(&self, set: usize, tag: u64) -> Option<usize> {
-        debug_assert_ne!(tag, EMPTY, "key projects to the reserved sentinel");
-        if self.tags.is_empty() {
-            // Sparse layout: scan the payload tuples in place.
-            return self.entries[set].iter().position(|e| e.0.as_index() == tag);
-        }
-        let base = set * self.ways;
-        let lanes = &self.tags[base..base + self.ways];
-        lanes.iter().position(|&t| t == tag)
+    fn locate(&self, key: K) -> (usize, u64) {
+        let set = self.set_of(key);
+        (set, self.heads.get(set).copied().unwrap_or(0))
+    }
+
+    /// Absolute lane index of `key`, scanning only the occupied lanes of
+    /// its set.
+    #[inline]
+    fn find(&self, key: K) -> Option<usize> {
+        let (base, len) = unpack(self.locate(key).1);
+        self.lanes[base..base + len]
+            .iter()
+            .position(|e| e.0 == key)
+            .map(|i| base + i)
     }
 
     /// Looks up `key`, updating recency and hit/miss statistics. Returns a
@@ -250,15 +245,11 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     #[inline]
     pub fn lookup(&mut self, key: K) -> Option<&mut M> {
         self.tick += 1;
-        let tick = self.tick;
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        match self.find_lane(set, tag) {
-            Some(i) => {
+        match self.find(key) {
+            Some(lane) => {
                 self.stats.hits += 1;
-                let e = &mut self.entries[set][i];
-                debug_assert_eq!(e.0, key, "tag collision: as_index not injective");
-                e.2 = tick;
+                let e = &mut self.lanes[lane];
+                e.2 = self.tick;
                 Some(&mut e.1)
             }
             None => {
@@ -271,18 +262,13 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     /// Reads `key` without updating recency or statistics.
     #[inline]
     pub fn peek(&self, key: K) -> Option<&M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        self.find_lane(set, tag).map(|i| &self.entries[set][i].1)
+        self.find(key).map(|lane| &self.lanes[lane].1)
     }
 
     /// Mutates `key`'s metadata without updating recency or statistics.
     #[inline]
     pub fn peek_mut(&mut self, key: K) -> Option<&mut M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        self.find_lane(set, tag)
-            .map(|i| &mut self.entries[set][i].1)
+        self.find(key).map(|lane| &mut self.lanes[lane].1)
     }
 
     /// Inserts `key` with `meta`, returning the evicted `(key, meta)` if the
@@ -290,84 +276,91 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     /// (and nothing is evicted).
     pub fn insert(&mut self, key: K, meta: M) -> Option<(K, M)> {
         self.tick += 1;
-        let tick = self.tick;
-        let tag = key.as_index();
-        let set = self.set_of(tag);
+        let entry = (key, meta, self.tick);
+        let (set, head) = self.locate(key);
+        let (base, len) = unpack(head);
         let ways = self.ways;
-        let base = set * ways;
-        if let Some(i) = self.find_lane(set, tag) {
-            let e = &mut self.entries[set][i];
-            e.1 = meta;
-            e.2 = tick;
-            return None;
-        }
-        let len = self.entries[set].len();
-        if len < ways {
-            if self.entries[set].capacity() == 0 {
-                self.entries[set].reserve_exact(ways);
+        // One pass over the occupied lanes finds `key` and, for a full set,
+        // the LRU victim: the first lane with the oldest recency (strict
+        // `<` keeps the lowest lane on ties, which cannot occur anyway:
+        // each tick touches exactly one entry).
+        let (mut victim, mut oldest, mut hit) = (0, u64::MAX, None);
+        for (i, e) in self.lanes[base..base + len].iter().enumerate() {
+            if e.0 == key {
+                hit = Some(base + i);
+                break;
             }
-            self.entries[set].push((key, meta, tick));
-            if !self.tags.is_empty() {
-                self.tags[base + len] = tag;
-            }
-            return None;
-        }
-        // Evict LRU: a forward first-minimum scan over the set's recency
-        // values. Strict `<` keeps the lowest lane on ties, matching
-        // `min_by_key` semantics (ties cannot occur anyway: each tick
-        // touches exactly one entry).
-        let mut victim = 0;
-        let mut oldest = self.entries[set][0].2;
-        for (i, e) in self.entries[set].iter().enumerate().skip(1) {
             if e.2 < oldest {
-                oldest = e.2;
-                victim = i;
+                (victim, oldest) = (i, e.2);
             }
         }
-        // Mirror `Vec::swap_remove + push` in the packed tag lanes so lane
-        // order evolves identically to the payload vector.
-        if !self.tags.is_empty() {
-            let last = ways - 1;
-            self.tags[base + victim] = self.tags[base + last];
-            self.tags[base + last] = tag;
+        if let Some(lane) = hit {
+            self.lanes[lane] = entry;
+            return None;
         }
-        let old = self.entries[set].swap_remove(victim);
-        self.entries[set].push((key, meta, tick));
+        if head == 0 {
+            // First touch: append the set's first block, lane 0 occupied.
+            // The first insert of all also allocates the zeroed head array.
+            if self.heads.is_empty() {
+                self.heads = vec![0; self.sets];
+            }
+            let base = self.lanes.len();
+            self.lanes
+                .resize(base + ways.min(1 << FIRST_BLOCK_LOG2), entry);
+            self.heads[set] = pack(base, FIRST_BLOCK_LOG2, 1);
+            return None;
+        }
+        if len < ways {
+            let cap_log2 = (head & (TOUCHED - 1)) >> CAP_SHIFT;
+            if len < 1 << cap_log2 {
+                self.lanes[base + len] = entry;
+                self.heads[set] += 1;
+            } else {
+                // Block full: move the set, lanes in order, to a new block
+                // twice the size (at most `ways`).
+                let moved = self.lanes.len();
+                self.lanes.extend_from_within(base..base + len);
+                self.lanes.resize(moved + ways.min(2 << cap_log2), entry);
+                self.heads[set] = pack(moved, cap_log2 + 1, len + 1);
+            }
+            return None;
+        }
+        // Evict the LRU victim: `swap_remove(victim)` + push.
+        let block = &mut self.lanes[base..base + ways];
+        let old = block[victim];
+        block[victim] = block[ways - 1];
+        block[ways - 1] = entry;
         self.stats.evictions += 1;
         Some((old.0, old.1))
     }
 
-    /// Removes lane `i` of `set`, keeping tag/recency lanes and the payload
-    /// vector in mirrored `swap_remove` order.
-    fn remove_lane(&mut self, set: usize, i: usize) -> (K, M) {
-        if !self.tags.is_empty() {
-            let base = set * self.ways;
-            let last = self.entries[set].len() - 1;
-            self.tags[base + i] = self.tags[base + last];
-            self.tags[base + last] = EMPTY;
-        }
-        let e = self.entries[set].swap_remove(i);
-        (e.0, e.1)
+    /// Removes occupied `lane` of `set`, moving the set's last occupied
+    /// lane into the hole (`Vec::swap_remove` order).
+    fn remove_lane(&mut self, set: usize, lane: usize) -> (K, M) {
+        let (base, len) = unpack(self.heads[set]);
+        let old = self.lanes[lane];
+        self.lanes[lane] = self.lanes[base + len - 1];
+        self.heads[set] -= 1;
+        (old.0, old.1)
     }
 
     /// Removes `key`, returning its metadata if present.
     pub fn invalidate(&mut self, key: K) -> Option<M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        let i = self.find_lane(set, tag)?;
-        Some(self.remove_lane(set, i).1)
+        let lane = self.find(key)?;
+        Some(self.remove_lane(self.set_of(key), lane).1)
     }
 
     /// Removes every entry matched by `pred`, returning the removed pairs.
     /// Used for page-granularity invalidations (migration shootdowns).
     pub fn invalidate_matching<F: FnMut(&K, &M) -> bool>(&mut self, mut pred: F) -> Vec<(K, M)> {
         let mut out = Vec::new();
-        for set in 0..self.sets {
+        for set in 0..self.heads.len() {
             let mut i = 0;
-            while i < self.entries[set].len() {
-                let e = &self.entries[set][i];
+            while i < unpack(self.heads[set]).1 {
+                let lane = unpack(self.heads[set]).0 + i;
+                let e = &self.lanes[lane];
                 if pred(&e.0, &e.1) {
-                    out.push(self.remove_lane(set, i));
+                    out.push(self.remove_lane(set, lane));
                 } else {
                     i += 1;
                 }
@@ -376,11 +369,13 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
         out
     }
 
-    /// Iterates over all `(key, meta)` pairs in unspecified order.
+    /// Iterates over all `(key, meta)` pairs, set by set in set-index
+    /// order and lane order within a set.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &M)> {
-        self.entries
-            .iter()
-            .flat_map(|s| s.iter().map(|(k, m, _)| (k, m)))
+        self.heads.iter().flat_map(move |&h| {
+            let (base, len) = unpack(h);
+            self.lanes[base..base + len].iter().map(|(k, m, _)| (k, m))
+        })
     }
 
     /// Counts entries satisfying `pred` without touching LRU order or
@@ -407,10 +402,35 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     }
 }
 
+/// A clone costs what the run touched. When the lane store is small next
+/// to the head array — the 2²⁶-lane remapping caches of the Fig. 16/17
+/// `inf` point — only touched sets' heads are copied into a fresh zeroed
+/// array, found through the keys in the lanes (every lane holds a key of
+/// the set that wrote it, and every touched set has a lane).
+impl<K: CacheKey, M: Copy> Clone for SetAssoc<K, M> {
+    fn clone(&self) -> Self {
+        let heads = if self.lanes.len() * 8 < self.heads.len() {
+            let mut heads = vec![0; self.sets];
+            for lane in &self.lanes {
+                let set = self.set_of(lane.0);
+                heads[set] = self.heads[set];
+            }
+            heads
+        } else {
+            self.heads.clone()
+        };
+        SetAssoc {
+            heads,
+            lanes: self.lanes.clone(),
+            ..*self
+        }
+    }
+}
+
 /// Invalidates all 64 lines of `page` from a line-keyed structure,
 /// returning the removed pairs. Cheaper than a full scan: probes only the
 /// sets the page's lines map to.
-pub fn invalidate_page_lines<M>(
+pub fn invalidate_page_lines<M: Copy>(
     cache: &mut SetAssoc<LineAddr, M>,
     page: PageNum,
 ) -> Vec<(LineAddr, M)> {
@@ -486,10 +506,60 @@ mod tests {
     }
 
     #[test]
+    fn untouched_structure_answers_empty() {
+        // The Fig. 16/17 "infinite" local remapping cache geometry: only
+        // the zeroed head array exists, and every query sees no entries.
+        for sets in [1 << 23, 1000] {
+            let mut c: SetAssoc<u64, u32> = SetAssoc::new(sets, 8);
+            assert!(c.is_empty());
+            assert_eq!(c.len(), 0);
+            assert!(c.iter().next().is_none());
+            assert_eq!(c.count_matching(|_, _| true), 0);
+            assert!(c.peek(7).is_none());
+            assert!(c.peek_mut(7).is_none());
+            assert!(c.invalidate(7).is_none());
+            assert!(c.invalidate_matching(|_, _| true).is_empty());
+            assert!(c.lookup(7).is_none());
+            assert_eq!(
+                c.stats(),
+                CacheStats {
+                    hits: 0,
+                    misses: 1,
+                    evictions: 0
+                }
+            );
+            assert_eq!(c.capacity(), sets * 8);
+        }
+    }
+
+    #[test]
+    fn sparse_clone_is_exact() {
+        // Few touched sets out of 2¹⁶: the clone rebuilds the heads from
+        // the lanes. Set 3 outgrows its first block (leaving a stale one);
+        // an emptied set keeps its block in both copies.
+        let mut c: SetAssoc<u64, u64> = SetAssoc::new(1 << 16, 8);
+        for k in [
+            70_001u64, 3, 65_539, 131_075, 196_611, 262_147, 9_999_999, 42,
+        ] {
+            c.insert(k, k * 2);
+        }
+        c.invalidate(42);
+        let mut d = c.clone();
+        assert_eq!(d.heads, c.heads);
+        assert_eq!(d.lanes, c.lanes);
+        for k in [42u64, 3, 327_683, 393_219, 458_755, 524_291, 7] {
+            assert_eq!(c.insert(k, k), d.insert(k, k));
+            assert_eq!(c.lookup(k + 1).copied(), d.lookup(k + 1).copied());
+        }
+        assert_eq!(c.heads, d.heads);
+        assert_eq!(c.lanes, d.lanes);
+        assert_eq!(c.stats(), d.stats());
+    }
+
+    #[test]
     fn zero_key_does_not_false_hit() {
         // A key whose projection is zero must miss until actually
-        // inserted, and lanes past a set's occupancy must never match
-        // (they hold the EMPTY sentinel, not zero).
+        // inserted, including in a set whose block already exists.
         let mut c: SetAssoc<u64, u32> = SetAssoc::new(2, 4);
         assert!(c.lookup(0).is_none());
         assert!(c.peek(0).is_none());
@@ -560,76 +630,143 @@ mod tests {
             }
         }
 
-        /// The packed-tag and sparse layouts are observationally identical:
-        /// same hits, same evictions, same victims, under any op sequence.
+        /// Any geometry (including non-power-of-two set counts, which
+        /// take the `%` path) under arbitrary interleaved traffic — sets
+        /// first touched in random order, inserts, lookups, removals,
+        /// predicate shootdowns and full iterations — agrees with a plain
+        /// per-set `Vec` model on every result, on the statistics, and on
+        /// iteration order; a clone taken mid-sequence then evolves
+        /// identically to the original.
         #[test]
-        fn prop_sparse_matches_packed(ops in proptest::collection::vec((0u8..4, 0u64..48), 1..300)) {
-            let mut packed: SetAssoc<u64, u64> = SetAssoc::new(2, 3);
-            let mut sparse: SetAssoc<u64, u64> = SetAssoc::new_sparse(2, 3);
-            for (op, key) in ops {
-                match op {
-                    0 => prop_assert_eq!(packed.insert(key, key * 3), sparse.insert(key, key * 3)),
-                    1 => prop_assert_eq!(packed.lookup(key).map(|m| *m), sparse.lookup(key).map(|m| *m)),
-                    2 => prop_assert_eq!(packed.invalidate(key), sparse.invalidate(key)),
-                    _ => prop_assert_eq!(packed.peek(key), sparse.peek(key)),
+        fn prop_matches_shadow_model(
+            sets in 1usize..7,
+            ways in 1usize..11,
+            ops in proptest::collection::vec((0u8..8, 0u64..64), 1..300),
+            clone_at in 0usize..300,
+        ) {
+            let mut c: SetAssoc<u64, u64> = SetAssoc::new(sets, ways);
+            let mut shadow = Shadow { sets: vec![Vec::new(); sets], ways, tick: 0, stats: CacheStats::default() };
+            let mut fork: Option<(SetAssoc<u64, u64>, Shadow)> = None;
+            for (n, (op, key)) in ops.into_iter().enumerate() {
+                if n == clone_at {
+                    fork = Some((c.clone(), shadow.clone()));
+                }
+                let expect = shadow.apply(op, key);
+                prop_assert_eq!(apply(&mut c, op, key), expect.clone());
+                prop_assert_eq!(c.len(), shadow.sets.iter().map(Vec::len).sum::<usize>());
+                if let Some((fc, fs)) = fork.as_mut() {
+                    let fexpect = fs.apply(op, key);
+                    prop_assert_eq!(apply(fc, op, key), fexpect);
                 }
             }
-            prop_assert_eq!(packed.stats(), sparse.stats());
-            prop_assert_eq!(packed.len(), sparse.len());
+            prop_assert_eq!(c.stats(), shadow.stats);
+            prop_assert_eq!(apply(&mut c, 7, 0), shadow.apply(7, 0));
+            if let Some((mut fc, mut fs)) = fork {
+                prop_assert_eq!(fc.stats(), fs.stats);
+                prop_assert_eq!(apply(&mut fc, 7, 0), fs.apply(7, 0));
+            }
         }
+    }
 
-        /// Tag-lane bookkeeping stays consistent with the payload vectors
-        /// under arbitrary interleaved insert/invalidate/lookup traffic:
-        /// a shadow model over a plain Vec must agree on every probe.
-        #[test]
-        fn prop_matches_shadow_model(ops in proptest::collection::vec((0u8..4, 0u64..48), 1..300)) {
-            let mut c: SetAssoc<u64, u64> = SetAssoc::new(2, 3);
-            // Shadow: per-set Vec<(key, meta, last_use)> replicating the
-            // original pointer-chasing implementation verbatim.
-            let mut shadow: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); 2];
-            let mut tick = 0u64;
-            for (op, key) in ops {
-                let set = (key & 1) as usize;
-                match op {
-                    0 => {
-                        tick += 1;
-                        let evicted = c.insert(key, key * 10);
-                        let slot = &mut shadow[set];
-                        let expect = if let Some(e) = slot.iter_mut().find(|e| e.0 == key) {
-                            e.1 = key * 10;
-                            e.2 = tick;
-                            None
-                        } else if slot.len() < 3 {
-                            slot.push((key, key * 10, tick));
-                            None
-                        } else {
-                            let v = slot.iter().enumerate()
-                                .min_by_key(|(_, e)| e.2).map(|(i, _)| i).unwrap();
-                            let victim = slot.swap_remove(v);
-                            slot.push((key, key * 10, tick));
-                            Some((victim.0, victim.1))
-                        };
-                        prop_assert_eq!(evicted, expect);
-                    }
-                    1 => {
-                        tick += 1;
-                        let hit = c.lookup(key).map(|m| *m);
-                        let expect = shadow[set].iter_mut().find(|e| e.0 == key)
-                            .map(|e| { e.2 = tick; e.1 });
-                        prop_assert_eq!(hit, expect);
-                    }
-                    2 => {
-                        let got = c.invalidate(key);
-                        let expect = shadow[set].iter().position(|e| e.0 == key)
-                            .map(|i| shadow[set].swap_remove(i).1);
-                        prop_assert_eq!(got, expect);
-                    }
-                    _ => {
-                        let got = c.peek(key).copied();
-                        let expect = shadow[set].iter().find(|e| e.0 == key).map(|e| e.1);
-                        prop_assert_eq!(got, expect);
-                    }
+    /// The result of one operation in [`prop_matches_shadow_model`].
+    #[derive(Clone, Debug, PartialEq)]
+    enum Outcome {
+        Evicted(Option<(u64, u64)>),
+        Meta(Option<u64>),
+        Entries(Vec<(u64, u64)>),
+    }
+
+    /// Applies op `op` (0–1 insert, 2 lookup, 3 invalidate, 4 peek,
+    /// 5 invalidate_matching, 6–7 iter) with `key` to the structure.
+    fn apply(c: &mut SetAssoc<u64, u64>, op: u8, key: u64) -> Outcome {
+        match op {
+            0 | 1 => Outcome::Evicted(c.insert(key, key * 10 + op as u64)),
+            2 => Outcome::Meta(c.lookup(key).map(|m| *m)),
+            3 => Outcome::Meta(c.invalidate(key)),
+            4 => Outcome::Meta(c.peek(key).copied()),
+            5 => Outcome::Entries(c.invalidate_matching(|k, _| k % 5 == key % 5)),
+            _ => Outcome::Entries(c.iter().map(|(k, m)| (*k, *m)).collect()),
+        }
+    }
+
+    /// Reference model: per-set `Vec<(key, meta, last_use)>` with
+    /// `swap_remove` removal and first-minimum LRU victims.
+    #[derive(Clone)]
+    struct Shadow {
+        sets: Vec<Vec<(u64, u64, u64)>>,
+        ways: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Shadow {
+        fn apply(&mut self, op: u8, key: u64) -> Outcome {
+            let n = self.sets.len();
+            let slot = &mut self.sets[(key % n as u64) as usize];
+            match op {
+                0 | 1 => {
+                    self.tick += 1;
+                    let entry = (key, key * 10 + op as u64, self.tick);
+                    Outcome::Evicted(if let Some(e) = slot.iter_mut().find(|e| e.0 == key) {
+                        *e = entry;
+                        None
+                    } else if slot.len() < self.ways {
+                        slot.push(entry);
+                        None
+                    } else {
+                        let v = slot
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, e)| e.2)
+                            .map(|(i, _)| i)
+                            .unwrap();
+                        let victim = slot.swap_remove(v);
+                        slot.push(entry);
+                        self.stats.evictions += 1;
+                        Some((victim.0, victim.1))
+                    })
                 }
+                2 => {
+                    self.tick += 1;
+                    let tick = self.tick;
+                    let hit = slot.iter_mut().find(|e| e.0 == key).map(|e| {
+                        e.2 = tick;
+                        e.1
+                    });
+                    if hit.is_some() {
+                        self.stats.hits += 1;
+                    } else {
+                        self.stats.misses += 1;
+                    }
+                    Outcome::Meta(hit)
+                }
+                3 => Outcome::Meta(
+                    slot.iter()
+                        .position(|e| e.0 == key)
+                        .map(|i| slot.swap_remove(i).1),
+                ),
+                4 => Outcome::Meta(slot.iter().find(|e| e.0 == key).map(|e| e.1)),
+                5 => {
+                    let mut out = Vec::new();
+                    for set in &mut self.sets {
+                        let mut i = 0;
+                        while i < set.len() {
+                            if set[i].0 % 5 == key % 5 {
+                                let e = set.swap_remove(i);
+                                out.push((e.0, e.1));
+                            } else {
+                                i += 1;
+                            }
+                        }
+                    }
+                    Outcome::Entries(out)
+                }
+                _ => Outcome::Entries(
+                    self.sets
+                        .iter()
+                        .flat_map(|s| s.iter().map(|e| (e.0, e.1)))
+                        .collect(),
+                ),
             }
         }
     }

@@ -67,12 +67,14 @@ impl DeviceDirectory {
     /// Creates a directory with the configured geometry (sets × ways ×
     /// slices; slices are folded into the set count since they are
     /// address-interleaved).
+    ///
+    /// Occupancy is bounded by what hosts actually cache, a fraction of the
+    /// 512 Ki-lane default capacity, and the tag store allocates lanes only
+    /// as sets fill: building a directory allocates nothing, and cloning
+    /// one costs what it holds, not its geometry.
     pub fn new(cfg: &DirectoryConfig) -> Self {
-        // Sparse layout: directory occupancy is bounded by what hosts
-        // actually cache (tens of K lines), a fraction of its 512 Ki-lane
-        // capacity, so inline payload probes beat cold packed-tag scans.
         DeviceDirectory {
-            entries: SetAssoc::new_sparse(cfg.sets_per_slice * cfg.slices, cfg.ways),
+            entries: SetAssoc::new(cfg.sets_per_slice * cfg.slices, cfg.ways),
         }
     }
 

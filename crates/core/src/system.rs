@@ -932,10 +932,11 @@ impl System {
         let hi = ci / self.cfg.cores_per_host;
         let li = ci % self.cfg.cores_per_host;
         // The one L1 probe for this reference: LRU recency and hit/miss
-        // statistics update here, exactly as in the general path.
-        let l1_hit = self.hosts[hi].l1[li].lookup(line).is_some();
-        if !l1_hit {
-            return self.step_mem_general(ci, rec, false);
+        // statistics update here, exactly as in the general path, and a
+        // write marks the line dirty through the same probe.
+        match self.hosts[hi].l1[li].lookup(line) {
+            Some(meta) => meta.dirty |= rec.is_write,
+            None => return self.step_mem_general(ci, rec, false),
         }
         {
             let stats = &mut self.stats.cores[ci];
@@ -949,18 +950,24 @@ impl System {
         let mut class = AccessClass::L1Hit;
         let mut queued = 0;
         if rec.is_write {
-            if let Some(meta) = self.hosts[hi].l1[li].peek_mut(line) {
-                meta.dirty = true;
-            }
             // Write propagates to the LLC state machine: S lines need an
-            // upgrade even on an L1 hit.
-            let needs_upgrade = matches!(
-                self.hosts[hi].llc.peek(line),
-                Some(LlcMeta {
-                    state: LState::S,
-                    ..
-                })
-            );
+            // upgrade even on an L1 hit; others go dirty (E → M) in place.
+            let mut promoted = false;
+            let needs_upgrade = match self.hosts[hi].llc.peek_mut(line) {
+                Some(m) if m.state == LState::S => true,
+                Some(m) => {
+                    m.dirty = true;
+                    promoted = m.state == LState::E;
+                    if promoted {
+                        m.state = LState::M;
+                    }
+                    false
+                }
+                None => false,
+            };
+            if promoted {
+                self.promote_devdir_owner(line);
+            }
             if needs_upgrade {
                 let (d, c, q) = self.upgrade_shared(hi, line, now);
                 if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
@@ -969,12 +976,6 @@ impl System {
                 done = d;
                 class = c;
                 queued = q;
-            } else if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                m.dirty = true;
-                if m.state == LState::E {
-                    m.state = LState::M;
-                    self.promote_devdir_owner(line);
-                }
             }
         }
         let latency = done - now;
@@ -1145,35 +1146,34 @@ impl System {
             return (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0);
         }
 
-        // LLC lookup.
-        if let Some(meta) = self.hosts[hi].llc.lookup(line).copied() {
+        // LLC lookup; a write to an E/M/Me line goes dirty (E → M)
+        // through the same probe.
+        let llc_state = self.hosts[hi].llc.lookup(line).map(|m| {
+            let state = m.state;
+            if is_write && state != LState::S {
+                m.dirty = true;
+                if state == LState::E {
+                    m.state = LState::M;
+                }
+            }
+            state
+        });
+        if let Some(state) = llc_state {
             let mut done = now + self.cfg.llc_per_core.hit_latency;
             let mut class = AccessClass::LlcHit;
             let mut queued = 0;
             if is_write {
-                match meta.state {
-                    LState::S => {
-                        let (d, c, q) = self.upgrade_shared(hi, line, now);
-                        done = d;
-                        class = c;
-                        queued = q;
-                    }
-                    LState::E => {
-                        if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                            m.state = LState::M;
-                            m.dirty = true;
-                        }
-                        self.promote_devdir_owner(line);
-                    }
-                    LState::M | LState::Me => {
-                        if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                            m.dirty = true;
-                        }
-                    }
+                if state == LState::S {
+                    let (d, c, q) = self.upgrade_shared(hi, line, now);
+                    done = d;
+                    class = c;
+                    queued = q;
+                } else if state == LState::E {
+                    self.promote_devdir_owner(line);
                 }
             }
             // The S-write path checked the oracle inside `upgrade_shared`.
-            if !(is_write && meta.state == LState::S) {
+            if !(is_write && state == LState::S) {
                 if let Some(o) = self.oracle.as_mut() {
                     o.cache_hit(hi, line);
                     if is_write {

@@ -250,3 +250,66 @@ fn warmup_window_is_sized_by_delivered_refs() {
         "over-requested refs_per_core must not move the warm-up boundary"
     );
 }
+
+/// The Fig. 16/17 "infinite" remapping caches (`1 << 40` bytes, clamped to
+/// 2²⁶ local entries per host and 2²⁴ global lines) must build and fork
+/// with storage that grows with the sets a run touches, not with the
+/// geometry — and must stay exact while doing so. Built directly by
+/// `System::new`, a checkpoint of the run resumes bit-identically; applied
+/// as a `CfgDelta` to a forked default checkpoint, it matches the inline
+/// delta.
+#[test]
+fn infinite_remap_cache_geometry_forks_bit_identically() {
+    let inf = CfgDelta {
+        local_remap_cache_bytes: Some(1 << 40),
+        global_remap_cache_bytes: Some(1 << 40),
+        ..CfgDelta::default()
+    };
+    let cfg = sweep_cfg();
+    let at = prefix_refs(&cfg);
+    let mut inf_cfg = cfg.clone();
+    inf.apply_to(&mut inf_cfg);
+
+    let direct = run_one(Workload::Ycsb, SchemeKind::Pipm, inf_cfg.clone(), &params());
+    let master = run_prefix_one(Workload::Ycsb, SchemeKind::Pipm, inf_cfg, &params(), at);
+    let forked = resume_one(
+        Workload::Ycsb,
+        SchemeKind::Pipm,
+        master.clone(),
+        &CfgDelta::default(),
+    );
+    let resumed = resume_one(
+        Workload::Ycsb,
+        SchemeKind::Pipm,
+        master,
+        &CfgDelta::default(),
+    );
+    assert_eq!(direct.stats, forked.stats, "fork of an inf-geometry run");
+    assert_eq!(direct.stats, resumed.stats);
+
+    let master = run_prefix_one(Workload::Ycsb, SchemeKind::Pipm, cfg.clone(), &params(), at);
+    let forked = resume_one(Workload::Ycsb, SchemeKind::Pipm, master.clone(), &inf);
+    let unforked = run_one_with_delta(
+        Workload::Ycsb,
+        SchemeKind::Pipm,
+        cfg.clone(),
+        &params(),
+        at,
+        &inf,
+    );
+    assert_eq!(
+        forked.stats, unforked.stats,
+        "inf delta on a forked checkpoint"
+    );
+    assert_eq!(forked.cfg, unforked.cfg);
+    let base = resume_one(
+        Workload::Ycsb,
+        SchemeKind::Pipm,
+        master,
+        &CfgDelta::default(),
+    );
+    assert_ne!(
+        forked.stats, base.stats,
+        "the infinite caches must change the measured window"
+    );
+}

@@ -7,7 +7,7 @@
 //! | `scheme_ordering` | tier-1 qualitative results: scheme orderings and bands the paper's figures rest on |
 //! | `protocol_and_policy` | PIPM protocol cases ①–⑥, majority vote, revocation, and baseline policy behaviour |
 //! | `determinism` | bit-identical stats across repeats and worker counts, for both figure runs and fuzz-harness runs |
-//! | `checkpoint` | checkpointed incremental sweeps: prefix + forked resume under a `CfgDelta` is bit-identical to the unforked run for every scheme, forks are independent, and the warm-up window clamps to delivered references |
+//! | `checkpoint` | checkpointed incremental sweeps: prefix + forked resume under a `CfgDelta` is bit-identical to the unforked run for every scheme and for the Fig. 16/17 infinite remap-cache geometry, forks are independent, and the warm-up window clamps to delivered references |
 //! | `scaling` | behaviour as hosts/cores/footprint scale |
 //! | `fuzz_harness` | differential correctness harness: seeded + property-based fuzz traces across all schemes under the functional oracle and inline SWMR/directory/remap invariants, plus the `pipm-mcheck` reachability cross-check |
 //! | `serve` | `pipm-serve` daemon over loopback TCP: byte-identical cold/warm/direct responses, run-cache dedup of concurrent identical jobs, `whatif` checkpointed sweeps (byte-identical to a direct prefix+resume, one shared prefix per base config, fingerprints never alias plain runs), structured error paths (malformed, unknown names, limits, queue-full), graceful shutdown drain |
