@@ -148,34 +148,6 @@ pub struct System {
     invariant_epochs: u64,
     /// Invariant failures recorded in harness mode (capped).
     invariant_failures: Vec<String>,
-    /// References staged per core per batch in the run loop (see
-    /// [`BatchScratch`]); any value produces bit-identical statistics.
-    batch_size: usize,
-}
-
-/// Default number of references each core stages per batch refill
-/// (`PIPM_BATCH` env override). 64 amortizes the per-batch virtual stream
-/// dispatch and argmin rescan while keeping the staged buffers L1-resident.
-const DEFAULT_BATCH_SIZE: usize = 64;
-
-/// Parses `PIPM_BATCH` once per process; an unparsable or zero value warns
-/// once and falls back to the default (same contract as `PIPM_WORKERS` in
-/// `pipm-bench`).
-fn env_batch_size() -> usize {
-    static PARSED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("PIPM_BATCH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring unparsable PIPM_BATCH={v:?} \
-                     (want a positive integer); using {DEFAULT_BATCH_SIZE}"
-                );
-                DEFAULT_BATCH_SIZE
-            }
-        },
-        Err(_) => DEFAULT_BATCH_SIZE,
-    })
 }
 
 /// Whether inline invariant sweeps are compiled in: always in debug
@@ -312,18 +284,9 @@ impl System {
             oracle: None,
             invariant_epochs: 0,
             invariant_failures: Vec::new(),
-            batch_size: env_batch_size(),
             kind: scheme,
             cfg,
         }
-    }
-
-    /// Overrides the per-core batch size (default 64, or `PIPM_BATCH`).
-    /// Statistics are bit-identical at every size — size 1 degenerates to
-    /// the scalar one-reference loop; this setter exists so tests can
-    /// prove that.
-    pub fn set_batch_size(&mut self, n: usize) {
-        self.batch_size = n.max(1);
     }
 
     /// Enables harness mode: a functional reference oracle shadows every
@@ -794,9 +757,6 @@ impl System {
             .sum();
         self.warmup_refs = (self.cfg.warmup_fraction * requested.min(deliverable) as f64) as u64;
         RunState {
-            scratch: (0..self.cores.len())
-                .map(|_| BatchScratch::new(self.batch_size))
-                .collect(),
             streams,
             clocks: vec![0; self.cores.len()],
             live: self.cores.len(),
@@ -806,67 +766,37 @@ impl System {
     /// Advances the simulation until every stream is exhausted or
     /// `stop_after` total references have been processed, whichever comes
     /// first. Stopping early leaves every structure quiescent (between
-    /// references), so the run can be checkpointed and resumed — including
-    /// mid-batch: staged-but-unprocessed references live in [`RunState`]
-    /// and are captured by the checkpoint.
+    /// references), so the run can be checkpointed and resumed.
     fn drive(&mut self, rs: &mut RunState, stop_after: u64) {
         // Deterministic global-order advance on (clock, core): always step
         // the core with the lowest clock, ties to the lowest index. A
         // linear argmin over a dense clock array beats a binary heap here —
-        // core counts are small (tens), the scan is branch-predictable and
-        // allocation-free, and the visit order is identical because
-        // `(clock, core)` is a strict total order either way.
-        //
-        // Batching: the scan also records the runner-up `(next_best,
-        // nb_i)` — the minimum clock among the *other* cores, lowest index
-        // on ties. After stepping the chosen core, no other core's clock
-        // entry moves, so the chosen core remains the argmin exactly while
-        // `clock < next_best`, or `clock == next_best` with the lower
-        // index. The inner loop steps the same core through its staged
-        // batch under that condition without rescanning — the visit order
-        // is provably identical to rescanning every reference.
+        // core counts are small (tens), and the scan is branch-predictable
+        // and allocation-free.
         let RunState {
             streams,
             clocks,
             live,
-            scratch,
         } = rs;
         while *live > 0 && self.processed < stop_after {
-            let mut ci = 0usize;
+            let mut ci = 0;
             let mut best = Cycle::MAX;
-            let mut next_best = Cycle::MAX;
-            let mut nb_i = 0usize;
             for (i, &c) in clocks.iter().enumerate() {
                 if c < best {
-                    next_best = best;
-                    nb_i = ci;
                     best = c;
                     ci = i;
-                } else if c < next_best {
-                    next_best = c;
-                    nb_i = i;
                 }
             }
-            loop {
-                let b = &mut scratch[ci];
-                if b.pos == b.recs.len() && b.refill(streams[ci].as_mut()) == 0 {
+            match streams[ci].next_record() {
+                Some(rec) => {
+                    self.step_core(ci, rec);
+                    clocks[ci] = self.cores[ci].clock();
+                }
+                None => {
                     let stats = &mut self.stats.cores[ci];
                     self.cores[ci].drain(&mut |class, cycles| stats.record_stall(class, cycles));
                     clocks[ci] = Cycle::MAX;
                     *live -= 1;
-                    break;
-                }
-                let rec = b.recs[b.pos];
-                let line = b.lines[b.pos];
-                b.pos += 1;
-                self.step_core(ci, rec, line);
-                let c = self.cores[ci].clock();
-                clocks[ci] = c;
-                if self.processed >= stop_after {
-                    break;
-                }
-                if c > next_best || (c == next_best && ci > nb_i) {
-                    break;
                 }
             }
         }
@@ -904,92 +834,9 @@ impl System {
         // threshold is a build-time parameter, not a sweepable one.)
     }
 
-    /// Drives one reference through the core and memory system. `line` is
-    /// the precomputed line address from the batch decode pass.
-    ///
-    /// The dominant case — no kernel interval due, no warm-up boundary, no
-    /// invariant epoch, no oracle, and an L1 hit — runs a fused inline
-    /// path that performs exactly the state mutations of the general path,
-    /// in the same order, without the epoch bookkeeping calls or the
-    /// `mem_access` dispatch. Every other reference (slow-path events:
-    /// misses, migrations, coherence upgrades, epoch boundaries) falls
-    /// back to the fully general scalar path. The guards are evaluated
-    /// before any state moves, so the fallback replays nothing.
-    #[inline]
-    fn step_core(&mut self, ci: usize, rec: TraceRecord, line: LineAddr) {
-        let interval_due = matches!(
-            &self.scheme,
-            SchemeState::Kernel(k) if self.cores[ci].clock() >= k.next_interval
-        );
-        let warmup_due = !self.warmed && self.processed >= self.warmup_refs;
-        let epoch_due = INLINE_CHECKS && (self.processed + 1).is_multiple_of(INVARIANT_EPOCH);
-        if interval_due || warmup_due || epoch_due || self.oracle.is_some() {
-            return self.step_core_slow(ci, rec);
-        }
-
-        self.processed += 1;
-        self.cores[ci].advance_compute(rec.nonmem);
-        let hi = ci / self.cfg.cores_per_host;
-        let li = ci % self.cfg.cores_per_host;
-        // The one L1 probe for this reference: LRU recency and hit/miss
-        // statistics update here, exactly as in the general path, and a
-        // write marks the line dirty through the same probe.
-        match self.hosts[hi].l1[li].lookup(line) {
-            Some(meta) => meta.dirty |= rec.is_write,
-            None => return self.step_mem_general(ci, rec, false),
-        }
-        {
-            let stats = &mut self.stats.cores[ci];
-            let core = &mut self.cores[ci];
-            core.reserve_slot(rec.is_write, &mut |class, cycles| {
-                stats.record_stall(class, cycles)
-            });
-        }
-        let now = self.cores[ci].clock();
-        let mut done = now + self.cfg.l1d.hit_latency;
-        let mut class = AccessClass::L1Hit;
-        let mut queued = 0;
-        if rec.is_write {
-            // Write propagates to the LLC state machine: S lines need an
-            // upgrade even on an L1 hit; others go dirty (E → M) in place.
-            let mut promoted = false;
-            let needs_upgrade = match self.hosts[hi].llc.peek_mut(line) {
-                Some(m) if m.state == LState::S => true,
-                Some(m) => {
-                    m.dirty = true;
-                    promoted = m.state == LState::E;
-                    if promoted {
-                        m.state = LState::M;
-                    }
-                    false
-                }
-                None => false,
-            };
-            if promoted {
-                self.promote_devdir_owner(line);
-            }
-            if needs_upgrade {
-                let (d, c, q) = self.upgrade_shared(hi, line, now);
-                if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                    m.dirty = true;
-                }
-                done = d;
-                class = c;
-                queued = q;
-            }
-        }
-        let latency = done - now;
-        self.cores[ci].issue(done, class, rec.is_write);
-        let stats = &mut self.stats.cores[ci];
-        stats.record_access(class, latency);
-        stats.transfer_stall += queued;
-    }
-
-    /// The general scalar path: epoch/warm-up/interval bookkeeping plus
-    /// the full memory-system dispatch. Batch size 1 runs this for every
-    /// reference whose guards fire; the fused path above is a pure
-    /// specialization of it.
-    fn step_core_slow(&mut self, ci: usize, rec: TraceRecord) {
+    /// Drives one reference through the core and memory system. An L1 hit
+    /// completes here; a miss goes to [`Self::mem_access`].
+    fn step_core(&mut self, ci: usize, rec: TraceRecord) {
         self.maybe_interval(self.cores[ci].clock());
         self.maybe_warmup();
         self.processed += 1;
@@ -1000,16 +847,17 @@ impl System {
         self.cores[ci].advance_compute(rec.nonmem);
         let hi = ci / self.cfg.cores_per_host;
         let li = ci % self.cfg.cores_per_host;
+        let line = rec.addr.line();
         // The one L1 probe for this reference: LRU recency and hit/miss
-        // statistics update here; `mem_access` receives the result instead
-        // of probing again.
-        let l1_hit = self.hosts[hi].l1[li].lookup(rec.addr.line()).is_some();
-        self.step_mem_general(ci, rec, l1_hit);
-    }
-
-    /// Reserves core resources and dispatches the memory access; shared by
-    /// the slow path (any hit/miss) and the fast path's miss case.
-    fn step_mem_general(&mut self, ci: usize, rec: TraceRecord, l1_hit: bool) {
+        // statistics update here, and a write marks the line dirty through
+        // the same probe.
+        let l1_hit = match self.hosts[hi].l1[li].lookup(line) {
+            Some(meta) => {
+                meta.dirty |= rec.is_write;
+                true
+            }
+            None => false,
+        };
         {
             let stats = &mut self.stats.cores[ci];
             let core = &mut self.cores[ci];
@@ -1023,12 +871,41 @@ impl System {
             });
         }
         let now = self.cores[ci].clock();
-        let (done, class, queued_mig) = self.mem_access(ci, rec.addr, rec.is_write, l1_hit, now);
+        let mut out = (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0);
+        if !l1_hit {
+            out = self.mem_access(ci, rec.addr, rec.is_write, now);
+        } else {
+            // A write propagates to the LLC state machine: an S line needs
+            // an upgrade even on an L1 hit; others go dirty (E → M) in place.
+            let needs_upgrade = rec.is_write
+                && match self.hosts[hi].llc.peek_mut(line) {
+                    Some(m) if m.state == LState::S => true,
+                    Some(m) => {
+                        m.dirty = true;
+                        if m.state == LState::E {
+                            m.state = LState::M;
+                        }
+                        false
+                    }
+                    None => false,
+                };
+            if needs_upgrade {
+                // `upgrade_shared` leaves the LLC line dirty in M and
+                // checks the oracle itself.
+                out = self.upgrade_shared(hi, line, now);
+            } else if let Some(o) = self.oracle.as_mut() {
+                o.cache_hit(hi, line);
+                if rec.is_write {
+                    o.write_applied(hi, line);
+                }
+            }
+        }
+        let (done, class, queued) = out;
         let latency = done - now;
         self.cores[ci].issue(done, class, rec.is_write);
         let stats = &mut self.stats.cores[ci];
         stats.record_access(class, latency);
-        stats.transfer_stall += queued_mig;
+        stats.transfer_stall += queued;
         // `instructions`/`cycles` are derived from the core model at
         // finish() (and at the warmup boundary) rather than rewritten on
         // every reference.
@@ -1099,52 +976,11 @@ impl System {
         ci: usize,
         addr: Addr,
         is_write: bool,
-        l1_hit: bool,
         now: Cycle,
     ) -> (Cycle, AccessClass, Cycle) {
         let hi = ci / self.cfg.cores_per_host;
         let li = ci % self.cfg.cores_per_host;
         let line = addr.line();
-
-        // L1 hit (the probe itself — recency + statistics — happened in
-        // `step_core`; reads re-probe nothing on this path).
-        if l1_hit {
-            if is_write {
-                if let Some(meta) = self.hosts[hi].l1[li].peek_mut(line) {
-                    meta.dirty = true;
-                }
-                // Write propagates to the LLC state machine: S lines need
-                // an upgrade even on an L1 hit.
-                let needs_upgrade = matches!(
-                    self.hosts[hi].llc.peek(line),
-                    Some(LlcMeta {
-                        state: LState::S,
-                        ..
-                    })
-                );
-                if needs_upgrade {
-                    let (done, class, q) = self.upgrade_shared(hi, line, now);
-                    if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                        m.dirty = true;
-                    }
-                    return (done, class, q);
-                }
-                if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                    m.dirty = true;
-                    if m.state == LState::E {
-                        m.state = LState::M;
-                        self.promote_devdir_owner(line);
-                    }
-                }
-            }
-            if let Some(o) = self.oracle.as_mut() {
-                o.cache_hit(hi, line);
-                if is_write {
-                    o.write_applied(hi, line);
-                }
-            }
-            return (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0);
-        }
 
         // LLC lookup; a write to an E/M/Me line goes dirty (E → M)
         // through the same probe.
@@ -1159,30 +995,22 @@ impl System {
             state
         });
         if let Some(state) = llc_state {
-            let mut done = now + self.cfg.llc_per_core.hit_latency;
-            let mut class = AccessClass::LlcHit;
-            let mut queued = 0;
-            if is_write {
-                if state == LState::S {
-                    let (d, c, q) = self.upgrade_shared(hi, line, now);
-                    done = d;
-                    class = c;
-                    queued = q;
-                } else if state == LState::E {
-                    self.promote_devdir_owner(line);
-                }
-            }
-            // The S-write path checked the oracle inside `upgrade_shared`.
-            if !(is_write && state == LState::S) {
-                if let Some(o) = self.oracle.as_mut() {
-                    o.cache_hit(hi, line);
-                    if is_write {
-                        o.write_applied(hi, line);
-                    }
+            let mut out = (
+                now + self.cfg.llc_per_core.hit_latency,
+                AccessClass::LlcHit,
+                0,
+            );
+            if is_write && state == LState::S {
+                // `upgrade_shared` checks the oracle itself.
+                out = self.upgrade_shared(hi, line, now);
+            } else if let Some(o) = self.oracle.as_mut() {
+                o.cache_hit(hi, line);
+                if is_write {
+                    o.write_applied(hi, line);
                 }
             }
             self.fill_l1(hi, li, line, is_write);
-            return (done, class, queued);
+            return out;
         }
 
         // LLC miss.
@@ -1293,11 +1121,6 @@ impl System {
         queued += down.queued_behind_migration;
         (down.at, AccessClass::CxlDram, queued)
     }
-
-    /// Records an E→M transition at the device directory (silent in
-    /// hardware; our directory already stores "owner", so nothing to do —
-    /// kept as a named hook for clarity and tests).
-    fn promote_devdir_owner(&mut self, _line: LineAddr) {}
 
     /// Shared-data access resolved through the CXL device directory (the
     /// Native path; also the backend for kernel-scheme CXL-resident pages
@@ -2280,54 +2103,12 @@ impl System {
     }
 }
 
-/// Struct-of-arrays scratch for one core's in-flight reference batch.
-///
-/// A refill stages up to `batch_size` records from the core's stream into
-/// `recs` and runs the address-decode pass into `lines` (one tight loop
-/// per batch); `pos` marks the next unprocessed record. The buffers are
-/// part of [`RunState`], so a checkpoint taken mid-batch captures the
-/// staged-but-unprocessed references — the stream itself has already
-/// advanced past them, and a fork replays them from the cloned buffer
-/// before touching the forked stream.
-#[derive(Clone)]
-struct BatchScratch {
-    recs: Vec<TraceRecord>,
-    lines: Vec<LineAddr>,
-    pos: usize,
-    batch_size: usize,
-}
-
-impl BatchScratch {
-    fn new(batch_size: usize) -> Self {
-        BatchScratch {
-            recs: Vec::new(),
-            lines: Vec::new(),
-            pos: 0,
-            batch_size,
-        }
-    }
-
-    /// Refills from `stream` and runs the decode pass, returning the
-    /// number of staged records (0 = stream exhausted).
-    fn refill(&mut self, stream: &mut dyn AccessStream) -> usize {
-        let n = stream.fill_batch(&mut self.recs, self.batch_size);
-        self.pos = 0;
-        // Address-decode pass: the per-reference step reads a precomputed
-        // line address instead of re-deriving it.
-        self.lines.clear();
-        self.lines.extend(self.recs.iter().map(|r| r.addr.line()));
-        n
-    }
-}
-
 /// Run-loop state threaded through [`System::drive`]: the per-core access
-/// streams, the dense clock snapshot the argmin scan operates on, and each
-/// core's staged reference batch.
+/// streams and the dense clock snapshot the argmin scan operates on.
 struct RunState {
     streams: Vec<Box<dyn AccessStream>>,
     clocks: Vec<Cycle>,
     live: usize,
-    scratch: Vec<BatchScratch>,
 }
 
 impl RunState {
@@ -2343,7 +2124,6 @@ impl RunState {
                 .collect(),
             clocks: self.clocks.clone(),
             live: self.live,
-            scratch: self.scratch.clone(),
         }
     }
 }

@@ -100,27 +100,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric connecting `hosts` hosts to the memory node.
-    ///
-    /// Deprecated: the host count lives in the topology spec now, so the
-    /// two cannot drift. Build a
-    /// [`TopologySpec::single_device`](pipm_types::TopologySpec::single_device)
-    /// (or a richer graph), install it with
-    /// [`SystemConfig::apply_topology`](pipm_types::SystemConfig::apply_topology),
-    /// and construct a [`Topology`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hosts` is zero or the configured bandwidth is
-    /// non-positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a Topology from TopologySpec::single_device(hosts) instead"
-    )]
-    pub fn new(hosts: usize, cfg: &CxlConfig) -> Self {
-        Fabric::with_links(hosts, cfg)
-    }
-
     /// Internal edge constructor used by [`Topology`]: a bundle of `n`
     /// independent full-duplex links under one link config.
     pub(crate) fn with_links(n: usize, cfg: &CxlConfig) -> Self {

@@ -47,7 +47,7 @@ pub use config::{
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, HostId, HostSet};
 pub use scheme::SchemeKind;
-pub use stats::{AccessClass, CoreStats, FabricStats, MigrationStats, Percentiles, SystemStats};
+pub use stats::{AccessClass, CoreStats, FabricStats, MigrationStats, SystemStats};
 pub use table::{PageTable, MAX_DENSE_PAGES};
 pub use time::{cycles_from_ns, ns_from_cycles, Cycle, CPU_GHZ};
 pub use topology::{Attach, SwitchSpec, TopologySpec};

@@ -8,7 +8,7 @@
 //! a deterministic perturbation of the base [`Spec`]. The composed stream
 //! is a plain [`AccessStream`]: phase boundaries are reference counts, so
 //! the stream remains bit-deterministic for a given seed regardless of
-//! batch size, worker count, or checkpoint forks.
+//! worker count or checkpoint forks.
 
 use crate::spec::{Spec, Workload, WorkloadParams};
 use crate::stream::SyntheticStream;

@@ -205,13 +205,11 @@ impl SyntheticStream {
     }
 }
 
-impl SyntheticStream {
-    /// Generates one record. Callers must have checked `remaining > 0`;
-    /// keeping the exhaustion test out of this body lets the batched fill
-    /// loop hoist it to a single bound computation per batch.
-    #[inline]
-    fn gen_record(&mut self) -> TraceRecord {
-        debug_assert!(self.remaining > 0);
+impl AccessStream for SyntheticStream {
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        if self.remaining == 0 {
+            return None;
+        }
         self.remaining -= 1;
         self.generated += 1;
         if self.spec.phase_refs > 0 && self.generated.is_multiple_of(self.spec.phase_refs) {
@@ -225,11 +223,11 @@ impl SyntheticStream {
         // real code does when walking fields/elements within 64 bytes.
         if self.repeat_left > 0 {
             self.repeat_left -= 1;
-            return TraceRecord {
+            return Some(TraceRecord {
                 nonmem,
                 is_write,
                 addr: self.last_addr,
-            };
+            });
         }
 
         let draw: f64 = self.rng.gen();
@@ -253,38 +251,11 @@ impl SyntheticStream {
         let reps = self.spec.line_repeats.max(1);
         self.repeat_left = self.rng.gen_range(0..2 * reps);
         self.last_addr = addr;
-        TraceRecord {
+        Some(TraceRecord {
             nonmem,
             is_write,
             addr,
-        }
-    }
-}
-
-impl AccessStream for SyntheticStream {
-    #[inline]
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        Some(self.gen_record())
-    }
-
-    /// Specialized batch fill: the record count is computed once from
-    /// `remaining`, so the inner loop carries no per-record exhaustion
-    /// test or `Option` dispatch, and the generator's spec parameters and
-    /// RNG state stay in registers across the batch. Draws records through
-    /// the same [`Self::gen_record`] as the scalar path, so the RNG
-    /// consumption sequence is bit-identical at any batch size.
-    fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        out.clear();
-        let n = self.remaining.min(max as u64) as usize;
-        out.reserve(n);
-        for _ in 0..n {
-            let rec = self.gen_record();
-            out.push(rec);
-        }
-        n
+        })
     }
 
     fn fork(&self) -> Option<Box<dyn AccessStream>> {

@@ -123,14 +123,6 @@ impl AccessStream for TenantStream {
         self.inner.next_record().map(|r| self.rebase(r))
     }
 
-    fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        let n = self.inner.fill_batch(out, max);
-        for r in out.iter_mut() {
-            *r = self.rebase(*r);
-        }
-        n
-    }
-
     fn fork(&self) -> Option<Box<dyn AccessStream>> {
         Some(Box::new(self.clone()))
     }

@@ -131,14 +131,14 @@ impl TraceFile {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a bad magic number, version, or truncated
-    /// record section, and propagates underlying I/O errors.
+    /// Returns `InvalidData` for a bad magic number, version, record count,
+    /// or truncated record section, and propagates underlying I/O errors.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut r = BufReader::new(File::open(path)?);
         let count = read_header(&mut r)?;
         let mut body = Vec::new();
         r.read_to_end(&mut body)?;
-        if body.len() != count as usize * RECORD_BYTES {
+        if body.len() as u64 != count * RECORD_BYTES as u64 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "truncated trace file",
@@ -209,6 +209,13 @@ fn read_header(r: &mut impl Read) -> io::Result<u64> {
             format!("unsupported trace version {version}"),
         ));
     }
+    // A forged count must not overflow the body-size arithmetic later on.
+    if count.checked_mul(RECORD_BYTES as u64).is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("trace record count {count} is too large"),
+        ));
+    }
     Ok(count)
 }
 
@@ -248,8 +255,8 @@ impl TraceReader {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a bad magic number or version, and
-    /// propagates underlying I/O errors.
+    /// Returns `InvalidData` for a bad magic number, version, or record
+    /// count, and propagates underlying I/O errors.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut reader = BufReader::new(File::open(&path)?);
@@ -384,6 +391,21 @@ mod tests {
         let path = tmp("bad_magic");
         std::fs::write(&path, b"not a trace file at all....").unwrap();
         let err = TraceFile::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn forged_count_rejected() {
+        let path = tmp("forged_count");
+        write_records(&[TraceRecord::read(1, Addr::new(64))], &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[COUNT_OFFSET as usize..HEADER_BYTES as usize]
+            .copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TraceFile::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = TraceReader::open(&path).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(path).ok();
     }

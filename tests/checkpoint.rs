@@ -177,40 +177,40 @@ fn forks_are_independent_of_resume_order() {
     assert!(a1.stats.exec_cycles() > base.stats.exec_cycles());
 }
 
-/// A checkpoint taken *mid-batch* must fork and resume bit-identically.
+/// A checkpoint taken at an arbitrary reference count must fork and
+/// resume bit-identically.
 ///
-/// The batched pipeline buffers up to 64 decoded references per core;
-/// `run_prefix` can stop a core partway through its buffer. The
-/// checkpoint must capture that in-flight state (buffered records plus
-/// the stream position *after* generating them), so a fork neither
-/// replays nor skips references. The fork point here is deliberately a
-/// prime, so it is not a multiple of the batch size, the core count, or
-/// their product — every core's boundary falls mid-batch.
+/// `run_prefix` stops the run between two references, wherever the count
+/// falls in the global (clock, core) order; the checkpoint must capture
+/// each stream's exact position so a fork neither replays nor skips
+/// references. The fork points are the first reference, a prime (not a
+/// multiple of the core count, so cores stop at uneven depths), and the
+/// final reference (every stream consumed, none yet drained).
 #[test]
-fn mid_batch_fork_is_bit_identical() {
+fn prime_prefix_fork_is_bit_identical() {
     let cfg = sweep_cfg();
-    // 10_007 is prime: not a multiple of the 64-ref default batch, of the
-    // core count, or of their product — every core stops mid-batch.
-    let at = 10_007u64;
+    let total = REFS_PER_CORE * cfg.total_cores() as u64;
     for &scheme in &[SchemeKind::Native, SchemeKind::Pipm] {
-        let master = run_prefix_one(Workload::Ycsb, scheme, cfg.clone(), &params(), at);
-        let resumed = resume_one(Workload::Ycsb, scheme, master.clone(), &CfgDelta::default());
         let base = run_one(Workload::Ycsb, scheme, cfg.clone(), &params());
-        assert_eq!(
-            base.stats, resumed.stats,
-            "{scheme:?}: mid-batch checkpoint round-trip must be invisible"
-        );
-        let delta = CfgDelta {
-            link_latency_ns: Some(150.0),
-            ..CfgDelta::default()
-        };
-        let forked = resume_one(Workload::Ycsb, scheme, master, &delta);
-        let unforked =
-            run_one_with_delta(Workload::Ycsb, scheme, cfg.clone(), &params(), at, &delta);
-        assert_eq!(
-            forked.stats, unforked.stats,
-            "{scheme:?}: mid-batch fork must equal inline delta"
-        );
+        for at in [1, 10_007, total] {
+            let master = run_prefix_one(Workload::Ycsb, scheme, cfg.clone(), &params(), at);
+            let resumed = resume_one(Workload::Ycsb, scheme, master.clone(), &CfgDelta::default());
+            assert_eq!(
+                base.stats, resumed.stats,
+                "{scheme:?} at {at}: checkpoint round-trip must be invisible"
+            );
+            let delta = CfgDelta {
+                link_latency_ns: Some(150.0),
+                ..CfgDelta::default()
+            };
+            let forked = resume_one(Workload::Ycsb, scheme, master, &delta);
+            let unforked =
+                run_one_with_delta(Workload::Ycsb, scheme, cfg.clone(), &params(), at, &delta);
+            assert_eq!(
+                forked.stats, unforked.stats,
+                "{scheme:?} at {at}: fork must equal inline delta"
+            );
+        }
     }
 }
 

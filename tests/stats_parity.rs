@@ -129,34 +129,6 @@ fn golden_fingerprints_all_schemes() {
 }
 
 #[test]
-fn golden_fingerprints_across_batch_sizes() {
-    // The batched reference pipeline must be invisible in the statistics:
-    // batch size 1 degenerates to the scalar path, and 8/64 exercise
-    // partial and full batches (REFS_PER_CORE is not a multiple of 64
-    // times the core count, so tail batches occur too). Every size must
-    // reproduce the same golden fingerprints as the default.
-    let params = WorkloadParams {
-        refs_per_core: REFS_PER_CORE,
-        seed: SEED,
-    };
-    for batch in [1usize, 8, 64] {
-        for (w, s, want) in GOLDEN {
-            let mut cfg = SystemConfig::experiment_scale();
-            let streams = w.streams(&mut cfg, &params);
-            let mut sys = pipm_core::System::new(cfg, s);
-            sys.set_batch_size(batch);
-            let stats = sys.run(streams, REFS_PER_CORE);
-            assert_eq!(
-                fingerprint(&stats),
-                want,
-                "{w} under {s}: batch size {batch} diverged from the golden \
-                 (batching must be behavior-preserving)"
-            );
-        }
-    }
-}
-
-#[test]
 fn parity_across_worker_counts() {
     // The same matrix through run_many at every PIPM_WORKERS setting the
     // harness uses: 1 (serial path), 2, and 8 (more threads than jobs per
