@@ -17,6 +17,9 @@
 //! * `--sweep-log PATH` captured `pipm-client bench --sweep` output to
 //!   chart as the serving-layer saturation curve (default
 //!   `docs/bench/serve_sweep.log`; missing is fine).
+//! * `--help`          print usage and exit
+//!
+//! An unknown flag or a missing value prints usage to stderr and exits 2.
 //!
 //! Output is a pure function of the inputs — rerunning over the same
 //! files rewrites byte-identical artifacts, so the generated charts
@@ -25,7 +28,12 @@
 //! `pipm_bench::stats`) are printed to stdout.
 
 use pipm_bench::report;
+use pipm_types::cli::Cli;
 use std::path::Path;
+
+const USAGE: &str = "\
+usage: report [--input PATH] [--out DIR] [--figs-dir DIR] [--sweep-log PATH]
+       report --help";
 
 fn main() {
     let mut input = String::from("BENCH_simperf.json");
@@ -33,21 +41,15 @@ fn main() {
     let mut figs_dir = String::from("docs/bench/figures");
     let mut sweep_log = String::from("docs/bench/serve_sweep.log");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--input" => input = need(i).clone(),
-            "--out" => out_dir = need(i).clone(),
-            "--figs-dir" => figs_dir = need(i).clone(),
-            "--sweep-log" => sweep_log = need(i).clone(),
-            other => panic!("unknown argument `{other}`"),
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            "--input" => input = cli.string(),
+            "--out" => out_dir = cli.string(),
+            "--figs-dir" => figs_dir = cli.string(),
+            "--sweep-log" => sweep_log = cli.string(),
+            _ => cli.unknown(),
         }
-        i += 2;
     }
 
     let text = match std::fs::read_to_string(&input) {

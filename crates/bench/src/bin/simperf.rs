@@ -33,7 +33,8 @@
 //! * `--help`          print usage and exit
 //!
 //! An unknown flag, a missing value or an unparsable value (including an
-//! unknown name in `PIPM_WORKLOADS`) prints usage to stderr and exits 2.
+//! unknown name in `PIPM_WORKLOADS` or garbage in `PIPM_PERF_REFS`)
+//! prints usage to stderr and exits 2.
 //!
 //! Runs execute *serially* so each measurement owns the machine; one
 //! warm-up run absorbs first-touch page faults and lazy init.
@@ -41,6 +42,7 @@
 use pipm_bench::report::json_field;
 use pipm_bench::stats::paired_permutation_test;
 use pipm_core::run_one;
+use pipm_types::cli::Cli;
 use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::time::Instant;
@@ -69,62 +71,37 @@ struct Options {
     threshold: f64,
 }
 
-/// Parses the command line; `Ok(None)` means `--help` was asked for.
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+/// Parses the command line and the environment; exits on `--help` and
+/// on bad input ([`pipm_types::cli`]).
+fn parse_args() -> Options {
+    let mut cli = Cli::new(USAGE);
     let mut o = Options {
-        refs_per_core: std::env::var("PIPM_PERF_REFS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40_000),
+        refs_per_core: cli.env("PIPM_PERF_REFS").unwrap_or(40_000),
         seed: 7,
-        workloads: match std::env::var("PIPM_WORKLOADS") {
-            Ok(list) => parse_list(&list).map_err(|e| format!("PIPM_WORKLOADS: {e}"))?,
-            Err(_) => Workload::ALL.to_vec(),
-        },
+        workloads: cli
+            .env_list("PIPM_WORKLOADS")
+            .unwrap_or_else(|| Workload::ALL.to_vec()),
         schemes: SchemeKind::ALL.to_vec(),
         out_path: String::from("BENCH_simperf.json"),
         check_path: None,
         threshold: 0.30,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Ok(None);
-        }
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
+    while let Some(flag) = cli.next() {
         match flag.as_str() {
-            "--refs" => o.refs_per_core = value.parse().map_err(|e| bad(&e))?,
-            "--seed" => o.seed = value.parse().map_err(|e| bad(&e))?,
-            "--workloads" => o.workloads = parse_list(value).map_err(|e| bad(&e))?,
-            "--schemes" => o.schemes = parse_list(value).map_err(|e| bad(&e))?,
-            "--out" => o.out_path = value.clone(),
-            "--check" => o.check_path = Some(value.clone()),
-            "--threshold" => o.threshold = value.parse().map_err(|e| bad(&e))?,
-            _ => return Err(format!("unknown argument `{flag}`")),
+            "--refs" => o.refs_per_core = cli.value(),
+            "--seed" => o.seed = cli.value(),
+            "--workloads" => o.workloads = cli.list(),
+            "--schemes" => o.schemes = cli.list(),
+            "--out" => o.out_path = cli.string(),
+            "--check" => o.check_path = Some(cli.string()),
+            "--threshold" => o.threshold = cli.value(),
+            _ => cli.unknown(),
         }
     }
-    Ok(Some(o))
-}
-
-/// Parses a non-empty comma-separated list.
-fn parse_list<T: std::str::FromStr>(list: &str) -> Result<Vec<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let v = list
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse().map_err(|e: T::Err| e.to_string()))
-        .collect::<Result<Vec<T>, String>>()?;
-    if v.is_empty() {
-        return Err("empty list".into());
-    }
-    Ok(v)
+    o
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let Options {
         refs_per_core,
         seed,
@@ -133,17 +110,7 @@ fn main() {
         out_path,
         check_path,
         threshold,
-    } = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("simperf: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    } = parse_args();
 
     let commit = git_commit();
     let date = utc_date();

@@ -19,24 +19,21 @@
 //! self-contained, so parallel results are bit-identical to serial ones
 //! (`tests/determinism.rs` asserts this).
 //!
-//! Scale knobs (environment variables):
+//! Scale knobs (environment variables, read by [`Harness::from_env`]):
 //!
 //! * `PIPM_SCALE` — multiplies references per core (default 1.0 →
 //!   400 K refs/core; the EXPERIMENTS.md results use the default).
 //! * `PIPM_WORKLOADS` — comma-separated workload filter (default: all 13).
 //! * `PIPM_NO_CACHE` — ignore the on-disk result cache.
-//! * `PIPM_NO_FORK` — disable checkpoint forking for the parameter-sweep
-//!   figures (Fig. 14–17, threshold sweep): every sweep point re-runs its
-//!   warmed prefix from scratch instead of forking the shared
-//!   [`pipm_core::Checkpoint`]. Results are bit-identical either way
-//!   (asserted by `tests/checkpoint.rs` and this crate's tests); the knob
-//!   exists to measure the speedup and to bisect the fork path.
 //! * `PIPM_WORKERS` — worker-thread count (default: available
-//!   parallelism; non-numeric values warn and fall back).
+//!   parallelism).
 //! * `PIPM_QUIET` — suppress the per-run observability lines on stderr.
 //!
-//! The boolean knobs honor falsy values: empty, `0`, `false`, `no`, and
-//! `off` (any case) behave as if the variable were unset.
+//! An unparsable `PIPM_SCALE`, `PIPM_WORKLOADS` or `PIPM_WORKERS`, or
+//! any command-line argument other than `--help`, exits 2 with a message
+//! before any simulation runs ([`pipm_types::cli`]). The boolean knobs
+//! honor falsy values: empty, `0`, `false`, `no`, and `off` (any case)
+//! behave as if the variable were unset.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,14 +44,16 @@ pub mod stats;
 pub mod svg;
 
 use pipm_core::{
-    checkpoint_key, job_key, resume_one, run_one, run_one_with_delta, run_prefix_one, CfgDelta,
-    Checkpoint, RunCache, RunResult,
+    checkpoint_key, job_key, par_map, resume_one, run_one, run_prefix_one, CfgDelta, Checkpoint,
+    RunCache, RunResult,
 };
+use pipm_types::cli::Cli;
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -341,8 +340,8 @@ pub struct Harness {
     /// Master seed.
     pub seed: u64,
     workers: usize,
+    workloads: Vec<Workload>,
     quiet: bool,
-    no_fork: bool,
     cache: RunCache<Measurement>,
     /// Warmed sweep checkpoints, keyed by [`pipm_core::checkpoint_key`].
     /// `get_or_compute` clones the stored value out, and cloning a
@@ -378,54 +377,53 @@ fn env_flag(value: Option<&str>) -> bool {
     }
 }
 
-/// Interprets a worker-count environment value. Unset yields `default`
-/// silently; a positive integer is used as-is; anything else (zero,
-/// negative, garbage) yields `default` plus a warning for the caller to
-/// surface — silently falling back hid typos like `PIPM_WORKERS=four`.
-fn env_workers(value: Option<&str>, default: usize) -> (usize, Option<String>) {
-    match value {
-        None => (default, None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(w) if w > 0 => (w, None),
-            _ => (
-                default,
-                Some(format!(
-                    "PIPM_WORKERS={v:?} is not a positive integer; using {default}"
-                )),
-            ),
-        },
-    }
-}
+/// Usage text of every [`Harness::from_env`] binary: they take no
+/// arguments and are configured by the environment.
+const USAGE: &str = "\
+usage: [PIPM_SCALE=F] [PIPM_WORKLOADS=a,b] [PIPM_WORKERS=N] [PIPM_NO_CACHE=1]
+       [PIPM_QUIET=1] [PIPM_FIG_CSV_DIR=DIR] <figure binary>
+  PIPM_SCALE        references per core = 400000 x F (default 1.0)
+  PIPM_WORKLOADS    comma-separated workload subset (default: all 13)
+  PIPM_WORKERS      worker threads (default: available cores)
+  PIPM_NO_CACHE     ignore target/pipm_results_cache.tsv
+  PIPM_QUIET        silence the per-run [run] lines on stderr
+  PIPM_FIG_CSV_DIR  also write every table as DIR/<slug>.csv";
 
 impl Harness {
-    /// Builds the harness from the environment (see crate docs).
+    /// Builds the harness from the environment (see crate docs). Exits
+    /// 2 on any command-line argument or unparsable knob, and prints the
+    /// knob list and exits 0 on `--help`.
     pub fn from_env() -> Self {
-        let scale: f64 = std::env::var("PIPM_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
+        let mut cli = Cli::new(USAGE);
+        if cli.next().is_some() {
+            cli.unknown();
+        }
+        let scale: f64 = cli.env("PIPM_SCALE").unwrap_or(1.0);
+        if !(scale.is_finite() && scale > 0.0) {
+            cli.fail(format_args!(
+                "PIPM_SCALE: `{scale}` is not a positive number"
+            ));
+        }
         let refs = ((400_000.0 * scale) as u64).max(10_000);
         let cache_path = if env_flag(std::env::var("PIPM_NO_CACHE").ok().as_deref()) {
             None
         } else {
             Some(PathBuf::from("target/pipm_results_cache.tsv"))
         };
-        let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (workers, warn) = env_workers(
-            std::env::var("PIPM_WORKERS").ok().as_deref(),
-            default_workers,
-        );
-        if let Some(w) = warn {
-            eprintln!("warning: {w}");
+        let workers = cli
+            .env("PIPM_WORKERS")
+            .unwrap_or_else(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN));
+        let mut h = Harness::with_settings(refs, 0x51_57, cache_path, workers.get());
+        if let Some(workloads) = cli.env_list("PIPM_WORKLOADS") {
+            h.workloads = workloads;
         }
-        let mut h = Harness::with_settings(refs, 0x51_57, cache_path, workers);
         h.quiet = env_flag(std::env::var("PIPM_QUIET").ok().as_deref());
-        h.no_fork = env_flag(std::env::var("PIPM_NO_FORK").ok().as_deref());
         h
     }
 
-    /// Builds a harness with explicit settings (no environment reads);
-    /// used by tests. `cache_path = None` disables the on-disk cache.
+    /// Builds a harness with explicit settings (no environment reads;
+    /// every workload); used by tests. `cache_path = None` disables the
+    /// on-disk cache.
     pub fn with_settings(
         refs_per_core: u64,
         seed: u64,
@@ -449,11 +447,9 @@ impl Harness {
         Harness {
             refs_per_core,
             seed,
-            // One clamp policy for every PIPM_WORKERS-driven pool: more
-            // threads than cores only adds scheduling overhead (warns once).
-            workers: pipm_core::effective_workers(workers).max(1),
+            workers: workers.max(1),
+            workloads: Workload::ALL.to_vec(),
             quiet: true,
-            no_fork: false,
             cache,
             ckpt_cache: RunCache::new(64),
             cache_path,
@@ -467,27 +463,16 @@ impl Harness {
         }
     }
 
-    /// Disables checkpoint forking for the sweep figures (the
-    /// `PIPM_NO_FORK` knob): every sweep point re-simulates its warmed
-    /// prefix from scratch. Results are bit-identical either way.
-    pub fn set_no_fork(&mut self, no_fork: bool) {
-        self.no_fork = no_fork;
-    }
-
-    /// Number of worker threads [`Harness::measure_many`] fans out to.
+    /// Worker threads requested for [`Harness::measure_many`];
+    /// [`pipm_core::par_map`] clamps the count to the available cores.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// The workload list, honouring the `PIPM_WORKLOADS` filter.
+    /// The workload list (the `PIPM_WORKLOADS` filter under
+    /// [`Harness::from_env`]).
     pub fn workloads(&self) -> Vec<Workload> {
-        match std::env::var("PIPM_WORKLOADS") {
-            Ok(list) => list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect(),
-            Err(_) => Workload::ALL.to_vec(),
-        }
+        self.workloads.clone()
     }
 
     /// Runs (or retrieves from cache) `workload` under `scheme` with the
@@ -546,43 +531,14 @@ impl Harness {
     }
 
     /// Measures every spec, fanning uncached points out across
-    /// [`Harness::workers`] scoped threads. Results come back in spec
-    /// order and are bit-identical to serial [`Harness::measure`] calls
-    /// (each `System` is self-contained; see `tests/determinism.rs`).
+    /// [`Harness::workers`] threads ([`pipm_core::par_map`]). Results
+    /// come back in spec order and are bit-identical to serial
+    /// [`Harness::measure`] calls (each `System` is self-contained; see
+    /// `tests/determinism.rs`).
     pub fn measure_many(&self, specs: &[RunSpec]) -> Vec<Measurement> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.workers.min(specs.len());
-        if threads <= 1 {
-            return specs
-                .iter()
-                .map(|s| self.measure(s.workload, s.scheme, &s.variant, |c| (s.cfg_mod)(c)))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Measurement>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let m = self.measure(spec.workload, spec.scheme, &spec.variant, |c| {
-                        (spec.cfg_mod)(c)
-                    });
-                    *results[i].lock().expect("result slot poisoned") = Some(m);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every claimed spec")
-            })
-            .collect()
+        par_map(specs, self.workers, |s| {
+            self.measure(s.workload, s.scheme, &s.variant, |c| (s.cfg_mod)(c))
+        })
     }
 
     /// Warms the run cache for `specs` in parallel, discarding the
@@ -617,8 +573,7 @@ impl Harness {
     /// [`Checkpoint`]; this point then forks the checkpoint and simulates
     /// only the measured tail under `delta`. Results are bit-identical
     /// to an uninterrupted run applying `delta` at the same boundary
-    /// (`tests/checkpoint.rs`), which is exactly what the `PIPM_NO_FORK`
-    /// knob falls back to.
+    /// ([`pipm_core::run_one_with_delta`]; see `tests/checkpoint.rs`).
     ///
     /// Sweep points live in their own cache namespace (`sweep-v1|…`):
     /// a sweep measurement is prefix-under-base + tail-under-delta, which
@@ -642,18 +597,11 @@ impl Harness {
             job_key(workload, scheme, &cfg, &params)
         );
         self.cache.get_or_compute(&key, || {
-            let (run, wall) = if self.no_fork {
-                let started = Instant::now();
-                let run =
-                    run_one_with_delta(workload, scheme, cfg.clone(), &params, prefix, &delta);
-                (run, started.elapsed())
-            } else {
-                let ckpt = self.warmed_checkpoint(workload, scheme, &cfg, &params, prefix);
-                self.ckpt_forks.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                let run = resume_one(workload, scheme, ckpt, &delta);
-                (run, started.elapsed())
-            };
+            let ckpt = self.warmed_checkpoint(workload, scheme, &cfg, &params, prefix);
+            self.ckpt_forks.fetch_add(1, Ordering::Relaxed);
+            let started = Instant::now();
+            let run = resume_one(workload, scheme, ckpt, &delta);
+            let wall = started.elapsed();
             let m = Measurement::from_run(&run);
             self.record_run(workload, scheme, variant, &m, wall);
             self.append_disk_cache(&key, &m);
@@ -693,43 +641,14 @@ impl Harness {
     }
 
     /// Measures every sweep point, fanning uncached points out across
-    /// [`Harness::workers`] scoped threads (same scheme as
-    /// [`Harness::measure_many`]). Points sharing a `(workload, scheme)`
-    /// deduplicate their prefix through the checkpoint cache, so a K-point
-    /// sweep simulates one prefix plus K tails instead of K full runs.
+    /// [`Harness::workers`] threads (as [`Harness::measure_many`] does).
+    /// Points sharing a `(workload, scheme)` deduplicate their prefix
+    /// through the checkpoint cache, so a K-point sweep simulates one
+    /// prefix plus K tails instead of K full runs.
     pub fn measure_sweep_many(&self, specs: &[SweepSpec]) -> Vec<Measurement> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.workers.min(specs.len());
-        if threads <= 1 {
-            return specs
-                .iter()
-                .map(|s| self.measure_sweep(s.workload, s.scheme, &s.variant, s.delta))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Measurement>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let m =
-                        self.measure_sweep(spec.workload, spec.scheme, &spec.variant, spec.delta);
-                    *results[i].lock().expect("result slot poisoned") = Some(m);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every claimed spec")
-            })
-            .collect()
+        par_map(specs, self.workers, |s| {
+            self.measure_sweep(s.workload, s.scheme, &s.variant, s.delta)
+        })
     }
 
     fn record_run(
@@ -908,20 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn env_workers_parses_warns_and_defaults() {
-        assert_eq!(env_workers(None, 8), (8, None));
-        assert_eq!(env_workers(Some("4"), 8), (4, None));
-        assert_eq!(env_workers(Some(" 2 "), 8), (2, None));
-        // Zero, negatives, and garbage fall back with a warning.
-        for bad in ["0", "-3", "four", "", "1.5"] {
-            let (w, warn) = env_workers(Some(bad), 8);
-            assert_eq!(w, 8, "{bad:?} must fall back to the default");
-            let msg = warn.expect("unparsable value must warn");
-            assert!(msg.contains("PIPM_WORKERS"), "warning names the knob");
-        }
-    }
-
-    #[test]
     fn measurement_tsv_round_trip() {
         let m = Measurement {
             exec_cycles: 123,
@@ -989,6 +894,24 @@ mod tests {
         assert_eq!(par.counters().runs, 3);
     }
 
+    /// The unforked reference for a sweep point: one uninterrupted run
+    /// applying `delta` at the harness's fork boundary.
+    fn unforked_sweep_point(
+        h: &Harness,
+        workload: Workload,
+        scheme: SchemeKind,
+        delta: &CfgDelta,
+    ) -> Measurement {
+        let cfg = h.sweep_base_cfg();
+        let params = WorkloadParams {
+            refs_per_core: h.refs_per_core,
+            seed: h.seed,
+        };
+        let prefix = h.sweep_prefix_refs(&cfg);
+        let run = pipm_core::run_one_with_delta(workload, scheme, cfg, &params, prefix, delta);
+        Measurement::from_run(&run)
+    }
+
     #[test]
     fn forked_sweep_matches_no_fork_and_counts_one_prefix() {
         let points = [
@@ -1015,11 +938,9 @@ mod tests {
             ),
         ];
         let forked = Harness::with_settings(10_000, 7, None, 2);
-        let mut straight = Harness::with_settings(10_000, 7, None, 2);
-        straight.set_no_fork(true);
         for (variant, delta) in points {
             let a = forked.measure_sweep(Workload::Bfs, SchemeKind::Pipm, variant, delta);
-            let b = straight.measure_sweep(Workload::Bfs, SchemeKind::Pipm, variant, delta);
+            let b = unforked_sweep_point(&forked, Workload::Bfs, SchemeKind::Pipm, &delta);
             assert_eq!(a, b, "{variant}: forked must be bit-identical to unforked");
         }
         let c = forked.counters();
@@ -1059,17 +980,17 @@ mod tests {
         };
         let forked = Harness::with_settings(120_000, 7, None, 1);
         let forked_wall = time_points(&forked);
-        let mut straight = Harness::with_settings(120_000, 7, None, 1);
-        straight.set_no_fork(true);
-        let straight_wall = time_points(&straight);
+        let started = Instant::now();
+        for (_, delta) in &deltas {
+            unforked_sweep_point(&forked, Workload::Bfs, SchemeKind::Pipm, delta);
+        }
+        let straight_wall = started.elapsed();
         assert_eq!(forked.counters().ckpt_prefixes, 1);
         assert_eq!(forked.counters().ckpt_forks, 8);
         assert!(
             straight_wall >= forked_wall * 2,
             "expected >=2x serial wall-clock reduction: forked={forked_wall:?} unforked={straight_wall:?}"
         );
-        let s = straight.counters();
-        assert_eq!((s.ckpt_prefixes, s.ckpt_forks), (0, 0));
     }
 
     #[test]

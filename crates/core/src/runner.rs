@@ -166,10 +166,9 @@ fn clamp_worker_budget(requested: usize, available: usize) -> (usize, Option<Str
 }
 
 /// Applies [`clamp_worker_budget`] against `available_parallelism`,
-/// printing the warning at most once per process (the same warn-once
-/// convention as the env-parsing helpers). Public so every thread pool
-/// driven by `PIPM_WORKERS` — [`run_many`], [`run_spec_many`], and the
-/// bench harness's own fan-out — shares one clamp policy.
+/// printing the warning at most once per process. [`par_map`] applies
+/// it, so every fan-out driven by `PIPM_WORKERS` shares one clamp
+/// policy.
 pub fn effective_workers(requested: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -182,41 +181,53 @@ pub fn effective_workers(requested: usize) -> usize {
     clamped
 }
 
-/// Runs every job across `workers` scoped threads, returning results in
-/// job order. Each job builds its own self-contained [`System`], so the
-/// results are bit-identical to serial [`run_one`] calls regardless of
-/// scheduling (asserted by `tests/determinism.rs`).
-pub fn run_many(jobs: &[RunJob], workers: usize) -> Vec<RunResult> {
-    let threads = effective_workers(workers).max(1).min(jobs.len());
+/// Maps `f` over `items` on up to `workers` scoped threads, returning
+/// the results in input order. The worker count is clamped by
+/// [`effective_workers`] and by `items.len()`; one worker (or none)
+/// runs serially on the calling thread. Threads claim items one at a
+/// time, so long and short items balance across the pool. A panic in
+/// `f` propagates to the caller with its original payload.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    scoped_map(items, effective_workers(workers), f)
+}
+
+/// [`par_map`] on exactly `threads` threads (fewer only when there are
+/// fewer items), with no clamp to the machine.
+fn scoped_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.min(items.len());
     if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|(w, s, cfg, p)| run_one(*w, *s, cfg.clone(), p))
-            .collect();
+        return items.iter().map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<RunResult>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((w, s, cfg, p)) = jobs.get(i) else {
-                    break;
-                };
-                let r = run_one(*w, *s, cfg.clone(), p);
-                *slots[i].lock().expect("run_many slot poisoned") = Some(r);
-            });
-        }
+    let claim = || {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        items.get(i).map(|item| (i, f(item)))
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| scope.spawn(|| std::iter::from_fn(claim).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("run_many slot poisoned")
-                .expect("worker completed every claimed job")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs every job across `workers` threads ([`par_map`]), returning
+/// results in job order. Each job builds its own self-contained
+/// [`System`], so the results are bit-identical to serial [`run_one`]
+/// calls regardless of scheduling (asserted by `tests/determinism.rs`).
+pub fn run_many(jobs: &[RunJob], workers: usize) -> Vec<RunResult> {
+    par_map(jobs, workers, |(w, s, cfg, p)| {
+        run_one(*w, *s, cfg.clone(), p)
+    })
 }
 
 /// The outcome of one fuzzed harness run: the usual statistics plus the
@@ -258,41 +269,13 @@ pub fn run_spec_one(spec: &FuzzSpec, scheme: SchemeKind, mut cfg: SystemConfig) 
 /// call.
 pub type SpecJob = (FuzzSpec, SchemeKind, SystemConfig);
 
-/// Runs every fuzz job across `workers` scoped threads, returning
-/// results in job order (same work-stealing scheme as [`run_many`]; each
-/// job is self-contained, so results are bit-identical to serial
-/// [`run_spec_one`] calls).
+/// Runs every fuzz job across `workers` threads ([`par_map`]),
+/// returning results in job order; each job is self-contained, so
+/// results are bit-identical to serial [`run_spec_one`] calls.
 pub fn run_spec_many(jobs: &[SpecJob], workers: usize) -> Vec<SpecRunResult> {
-    let threads = effective_workers(workers).max(1).min(jobs.len());
-    if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|(spec, s, cfg)| run_spec_one(spec, *s, cfg.clone()))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<SpecRunResult>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((spec, s, cfg)) = jobs.get(i) else {
-                    break;
-                };
-                let r = run_spec_one(spec, *s, cfg.clone());
-                *slots[i].lock().expect("run_spec_many slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("run_spec_many slot poisoned")
-                .expect("worker completed every claimed job")
-        })
-        .collect()
+    par_map(jobs, workers, |(spec, s, cfg)| {
+        run_spec_one(spec, *s, cfg.clone())
+    })
 }
 
 /// Runs `workload` under every scheme in `schemes`, returning results in
@@ -336,9 +319,29 @@ mod tests {
         assert!(warn.contains("64") && warn.contains('8'), "{warn}");
         // Unknown parallelism (0): trust the caller, never clamp to zero.
         assert_eq!(clamp_worker_budget(16, 0), (16, None));
-        // Degenerate requests pass through; run_many applies its own
-        // `.max(1)` floor after clamping.
+        // Degenerate requests pass through; par_map runs serially on
+        // zero or one worker.
         assert_eq!(clamp_worker_budget(0, 8), (0, None));
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_at_every_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        // Uneven per-item cost so threads finish out of order.
+        let f = |&x: &u64| {
+            let spins = (x * 7919) % 5_000;
+            (0..spins).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i)) % 1_000 + x * 1_000
+        };
+        let serial: Vec<u64> = items.iter().map(f).collect();
+        for threads in [0, 1, 2, 4, 64] {
+            // Unclamped, so the threaded path runs even on a small host.
+            assert_eq!(scoped_map(&items, threads, f), serial, "threads={threads}");
+            assert_eq!(par_map(&items, threads, f), serial, "workers={threads}");
+        }
+        // More workers than items, and no items at all.
+        assert_eq!(scoped_map(&[5u64, 6], 16, |x| x * 2), vec![10, 12]);
+        assert!(scoped_map(&[] as &[u64], 4, |x| *x).is_empty());
+        assert!(par_map(&[] as &[u64], 4, |x| *x).is_empty());
     }
 
     #[test]

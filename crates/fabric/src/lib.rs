@@ -10,14 +10,13 @@
 //! so the simulator can attribute queueing delay caused by page transfers —
 //! the "page transfer overhead" component of the paper's Figure 4.
 //!
-//! Host-to-host messages (inter-host accesses, M-state forwarding) are
-//! routed through the CXL memory node's root complex: up one host's link,
-//! down the other's, as in Figure 3 of the paper.
-//!
-//! Rack-scale graphs — multiple multi-headed devices behind switches —
-//! are described by a `pipm_types::TopologySpec` and executed by
-//! [`Topology`], which composes these links into per-device planes,
-//! shared uplinks, and switch ports (see [`topology`]).
+//! Every message travels as one leg through [`Topology::send`]: rack
+//! graphs — multiple multi-headed devices behind switches — are
+//! described by a `pipm_types::TopologySpec`, and [`Topology`] composes
+//! these links into per-device planes, shared uplinks, and switch ports
+//! (see [`topology`]). Host-to-host traffic (inter-host accesses,
+//! M-state forwarding) is two such legs through the device, up one
+//! host's link and down the other's, as in Figure 3 of the paper.
 //!
 //! # Example
 //!
@@ -96,7 +95,6 @@ pub struct Fabric {
     links: Vec<Link>,
     latency: Cycle,
     cycles_per_byte: f64,
-    header_bytes: u64,
 }
 
 impl Fabric {
@@ -116,7 +114,6 @@ impl Fabric {
             ],
             latency: pipm_types::cycles_from_ns(cfg.link_latency_ns),
             cycles_per_byte: CPU_GHZ / cfg.link_gbps,
-            header_bytes: cfg.header_bytes,
         }
     }
 
@@ -125,9 +122,9 @@ impl Fabric {
         self.latency
     }
 
-    /// Reconfigures link latency, bandwidth, and header size in place,
-    /// preserving per-direction occupancy (busy-until horizons) and
-    /// accumulated statistics. Checkpointed sweeps use this to apply a
+    /// Reconfigures link latency and bandwidth in place, preserving
+    /// per-direction occupancy (busy-until horizons) and accumulated
+    /// statistics. Checkpointed sweeps use this to apply a
     /// late-binding configuration delta to a warmed fabric: in-flight
     /// serialization finishes under the old parameters, messages sent
     /// after the call see the new ones.
@@ -139,12 +136,6 @@ impl Fabric {
         assert!(cfg.link_gbps > 0.0, "link bandwidth must be positive");
         self.latency = pipm_types::cycles_from_ns(cfg.link_latency_ns);
         self.cycles_per_byte = CPU_GHZ / cfg.link_gbps;
-        self.header_bytes = cfg.header_bytes;
-    }
-
-    /// Size in bytes of a control/request message.
-    pub fn header_bytes(&self) -> u64 {
-        self.header_bytes
     }
 
     fn serialization(&self, bytes: u64) -> Cycle {
@@ -185,38 +176,6 @@ impl Fabric {
             at: start + ser + latency,
             queued,
             queued_behind_migration,
-        }
-    }
-
-    /// Convenience: a round trip host→device→host carrying a request header
-    /// up and `payload_bytes` down, starting at `now`. Returns the arrival
-    /// of the response at the host.
-    pub fn round_trip(&mut self, h: HostId, now: Cycle, payload_bytes: u64) -> Arrival {
-        let up = self.send(h, Dir::ToDevice, now, self.header_bytes, false);
-        let down = self.send(h, Dir::ToHost, up.at, payload_bytes, false);
-        Arrival {
-            at: down.at,
-            queued: up.queued + down.queued,
-            queued_behind_migration: up.queued_behind_migration + down.queued_behind_migration,
-        }
-    }
-
-    /// Routes a message from host `from` to host `to` through the memory
-    /// node (two link traversals), as inter-host traffic does in Figure 3.
-    pub fn host_to_host(
-        &mut self,
-        from: HostId,
-        to: HostId,
-        now: Cycle,
-        bytes: u64,
-        is_migration: bool,
-    ) -> Arrival {
-        let leg1 = self.send(from, Dir::ToDevice, now, bytes, is_migration);
-        let leg2 = self.send(to, Dir::ToHost, leg1.at, bytes, is_migration);
-        Arrival {
-            at: leg2.at,
-            queued: leg1.queued + leg2.queued,
-            queued_behind_migration: leg1.queued_behind_migration + leg2.queued_behind_migration,
         }
     }
 
@@ -364,61 +323,6 @@ mod tests {
         let a = f.send(h, Dir::ToHost, 100, 64, false);
         assert_eq!(a.queued, 4096 - 100);
         assert_eq!(a.queued_behind_migration, 2048 - 100);
-    }
-
-    #[test]
-    fn round_trip_sums_leg_queueing() {
-        let mut f = fabric();
-        let h = HostId::new(2);
-        // Occupy both directions with migration payloads.
-        f.send(h, Dir::ToDevice, 0, 8192, true);
-        f.send(h, Dir::ToHost, 0, 8192, true);
-        let mut manual = f.clone();
-        let rt = f.round_trip(h, 0, 64);
-        let up = manual.send(h, Dir::ToDevice, 0, manual.header_bytes(), false);
-        let down = manual.send(h, Dir::ToHost, up.at, 64, false);
-        assert_eq!(rt.at, down.at);
-        assert_eq!(rt.queued, up.queued + down.queued);
-        assert_eq!(
-            rt.queued_behind_migration,
-            up.queued_behind_migration + down.queued_behind_migration
-        );
-        assert!(rt.queued_behind_migration > 0);
-    }
-
-    #[test]
-    fn host_to_host_sums_leg_queueing() {
-        let mut f = fabric();
-        let (from, to) = (HostId::new(0), HostId::new(3));
-        f.send(from, Dir::ToDevice, 0, 8192, true);
-        f.send(to, Dir::ToHost, 0, 8192, true);
-        let mut manual = f.clone();
-        let a = f.host_to_host(from, to, 0, 64, false);
-        let leg1 = manual.send(from, Dir::ToDevice, 0, 64, false);
-        let leg2 = manual.send(to, Dir::ToHost, leg1.at, 64, false);
-        assert_eq!(a.at, leg2.at);
-        assert_eq!(a.queued, leg1.queued + leg2.queued);
-        assert_eq!(
-            a.queued_behind_migration,
-            leg1.queued_behind_migration + leg2.queued_behind_migration
-        );
-        assert!(a.queued_behind_migration > 0);
-    }
-
-    #[test]
-    fn host_to_host_crosses_two_links() {
-        let mut f = fabric();
-        let a = f.host_to_host(HostId::new(0), HostId::new(1), 0, 64, false);
-        // Two propagation delays plus two serializations of 64 B (32 cyc).
-        assert_eq!(a.at, 2 * 200 + 2 * 32);
-    }
-
-    #[test]
-    fn round_trip_carries_payload_down() {
-        let mut f = fabric();
-        let a = f.round_trip(HostId::new(3), 0, 64);
-        // Up: 8 + 200; down: 32 + 200.
-        assert_eq!(a.at, 208 + 232);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Open-loop Poisson benchmark: offered load that does not slow down
-//! when the daemon does.
+//! when the daemon does — the repository's one load generator.
 //!
-//! The closed-loop generator in [`client`](crate::client) starts each
-//! round only after the previous response returns, so its measured
-//! throughput *is* the daemon's service rate — useful for warm-cache
-//! smoke checks, misleading as a capacity probe (coordinated omission:
-//! a slow response delays the requests that would have observed the
-//! slowness). This module is the open-loop counterpart:
+//! A closed loop (each client sends its next request only after the
+//! previous response returns) measures the daemon's service rate and
+//! hides queueing delay under saturation (coordinated omission: a slow
+//! response delays the requests that would have observed the
+//! slowness). This generator avoids both:
 //!
 //! * Arrivals follow a **seeded Poisson process** ([`poisson_offsets`]):
 //!   inter-arrival gaps are exponential with mean `1/rate`, generated
@@ -21,10 +20,9 @@
 //! * [`saturation_sweep`] replays the same request mix across a ladder
 //!   of offered rates, emitting one summary row per rate.
 //!
-//! Reports label themselves with [`OPEN_LOOP_MODE`]; the closed-loop
-//! generator labels with [`CLOSED_LOOP_MODE`]. Anything parsing
-//! benchmark output (tests, CI) keys on that field instead of guessing
-//! which discipline produced a throughput number.
+//! Reports label themselves with [`OPEN_LOOP_MODE`], so anything
+//! parsing benchmark output (tests, CI) can tell which discipline
+//! produced a throughput number.
 
 use crate::client::Client;
 use crate::json::Json;
@@ -35,8 +33,6 @@ use std::time::{Duration, Instant};
 
 /// Mode label for open-loop (scheduled-arrival) reports.
 pub const OPEN_LOOP_MODE: &str = "open-loop";
-/// Mode label for closed-loop (response-gated) reports.
-pub const CLOSED_LOOP_MODE: &str = "closed-loop";
 
 /// The SplitMix64 generator: tiny, fast, and plenty for arrival
 /// schedules (the simulator's own RNG needs live in `pipm-core`; this
@@ -387,8 +383,8 @@ mod tests {
     fn nearest_rank_percentiles_match_hand_computed_fixture() {
         // Ten known samples, shuffled. Nearest rank (1-based ⌈q·n⌉):
         // p50 → rank 5 → 50ms, p90 → rank 9 → 90ms, p99 → rank 10 →
-        // 100ms. (The old closed-loop quantile used round() indexing,
-        // which reported p99 of 10 samples as the 9th value.)
+        // 100ms. (A round()-indexed quantile would report p99 of 10
+        // samples as the 9th value.)
         let ms = |m: u64| Duration::from_millis(m);
         let samples = vec![
             ms(70),

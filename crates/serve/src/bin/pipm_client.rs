@@ -1,5 +1,5 @@
 //! `pipm-client` — submit jobs to a `pipm-serve` daemon, inspect it, or
-//! drive it as a closed-loop load generator.
+//! drive it with open-loop load.
 //!
 //! ```text
 //! pipm-client [--addr HOST:PORT] [--timeout-secs N] status
@@ -9,8 +9,6 @@
 //!             [--workload ... --scheme ...] [--refs N] [--seed N]
 //! pipm-client [--addr HOST:PORT] whatif --workload bfs --scheme pipm \
 //!             --delta link_latency_ns=100 [--delta ...] [--refs N] [--seed N]
-//! pipm-client [--addr HOST:PORT] load --workload bfs --scheme pipm \
-//!             [--refs N] [--seed N] --clients N --rounds M
 //! pipm-client [--addr HOST:PORT] bench --workload bfs --scheme pipm \
 //!             [--refs N] [--seed N] --rate RPS --requests N \
 //!             [--bench-seed N] [--max-inflight N] [--sweep R1,R2,...]
@@ -18,27 +16,41 @@
 //!
 //! `submit` pretty-prints one row per result; `whatif` does the same for
 //! a checkpointed sweep point (every `--delta key=value` joins one
-//! delta object applied to all jobs); `load` reports throughput, latency
-//! quantiles, and the daemon's cache counters after the run.
+//! delta object applied to all jobs).
 //!
-//! `load` is a **closed loop** (each round waits for the previous
-//! response; the printed rate is a service rate) and labels its summary
-//! `mode=closed-loop`. `bench` is the **open-loop** Poisson benchmark:
-//! arrivals are scheduled at `--rate` regardless of response times,
-//! latency is charged from the scheduled arrival, and the summary line
-//! is labeled `mode=open-loop`. `--sweep R1,R2,...` runs one rung per
-//! offered rate and prints one `sweep ...` row each — the saturation
-//! sweep CI uploads as an artifact.
+//! `bench` is the **open-loop** Poisson load generator: arrivals are
+//! scheduled at `--rate` regardless of response times, latency is
+//! charged from the scheduled arrival, and the summary line is labeled
+//! `mode=open-loop`; the daemon's cache counters print after the run.
+//! `--sweep R1,R2,...` runs one rung per offered rate and prints one
+//! `sweep ...` row each — the saturation sweep CI uploads as an
+//! artifact.
 //!
 //! The read timeout defaults to 600 s; override with `--timeout-secs N`
 //! or the `PIPM_CLIENT_TIMEOUT_SECS` environment variable (the flag
 //! wins; `0` disables the timeout entirely).
+//!
+//! `--help` prints usage and exits 0; a bad flag, value, command or
+//! `PIPM_CLIENT_TIMEOUT_SECS` prints usage to stderr and exits 2.
 
 use pipm_serve::bench::{run_open_loop, saturation_sweep, OpenLoopConfig};
-use pipm_serve::client::{load_generate_with_timeout, Client, DEFAULT_READ_TIMEOUT};
+use pipm_serve::client::{Client, DEFAULT_READ_TIMEOUT};
 use pipm_serve::json::Json;
+use pipm_types::cli::{self, Cli};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+const USAGE: &str = "\
+usage: pipm-client [--addr HOST:PORT] [--timeout-secs N] <COMMAND> [OPTIONS]
+       pipm-client --help
+  COMMAND: status | metrics | shutdown | submit | whatif | bench
+  submit/whatif/bench: --workload W --scheme S (repeatable, zipped pairwise)
+                       [--refs N] [--seed N]
+  whatif only: --delta KEY=VALUE (repeatable; late-binding cfg keys)
+  bench only:  [--rate RPS] [--requests N] [--bench-seed N]
+               [--max-inflight N] [--sweep R1,R2,...]   (open loop)
+  --timeout-secs N  read timeout (default 600, 0 = none;
+                    env PIPM_CLIENT_TIMEOUT_SECS)";
 
 struct Args {
     addr: String,
@@ -48,8 +60,6 @@ struct Args {
     deltas: Vec<String>,
     refs: Option<u64>,
     seed: Option<u64>,
-    clients: usize,
-    rounds: usize,
     rate: f64,
     requests: usize,
     bench_seed: u64,
@@ -58,39 +68,9 @@ struct Args {
     timeout: Option<Duration>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pipm-client [--addr HOST:PORT] [--timeout-secs N] \
-         <status|metrics|shutdown|submit|whatif|load|bench>\n\
-         \x20  submit/whatif/load/bench: --workload W --scheme S (repeatable, zipped pairwise)\n\
-         \x20               [--refs N] [--seed N]\n\
-         \x20  whatif only: --delta KEY=VALUE (repeatable; late-binding cfg keys)\n\
-         \x20  load only:   [--clients N] [--rounds M]   (closed loop)\n\
-         \x20  bench only:  [--rate RPS] [--requests N] [--bench-seed N]\n\
-         \x20               [--max-inflight N] [--sweep R1,R2,...]   (open loop)\n\
-         \x20  --timeout-secs N  read timeout (default 600, 0 = none;\n\
-         \x20                    env PIPM_CLIENT_TIMEOUT_SECS)"
-    );
-    std::process::exit(2);
-}
-
-/// Resolves the read timeout: `--timeout-secs` beats
-/// `PIPM_CLIENT_TIMEOUT_SECS` beats the 600 s default; `0` means no
-/// timeout at all (block until the daemon answers).
-fn resolve_timeout(flag: Option<u64>) -> Option<Duration> {
-    let secs = flag.or_else(|| {
-        std::env::var("PIPM_CLIENT_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    });
-    match secs {
-        None => Some(DEFAULT_READ_TIMEOUT),
-        Some(0) => None,
-        Some(s) => Some(Duration::from_secs(s)),
-    }
-}
-
 fn parse_args() -> Args {
+    let mut cli = Cli::new(USAGE);
+    let env_timeout: Option<u64> = cli.env("PIPM_CLIENT_TIMEOUT_SECS");
     let mut parsed = Args {
         addr: "127.0.0.1:7457".to_string(),
         cmd: String::new(),
@@ -99,8 +79,6 @@ fn parse_args() -> Args {
         deltas: Vec::new(),
         refs: None,
         seed: None,
-        clients: 4,
-        rounds: 8,
         rate: 50.0,
         requests: 200,
         bench_seed: 41,
@@ -109,82 +87,66 @@ fn parse_args() -> Args {
         timeout: None,
     };
     let mut timeout_flag: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                usage()
-            })
-        };
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--addr" => parsed.addr = value("--addr"),
-            "--workload" => parsed.workloads.push(value("--workload")),
-            "--scheme" => parsed.schemes.push(value("--scheme")),
-            "--delta" => parsed.deltas.push(value("--delta")),
-            "--refs" => parsed.refs = Some(parse_num(&value("--refs"), "--refs")),
-            "--seed" => parsed.seed = Some(parse_num(&value("--seed"), "--seed")),
-            "--clients" => parsed.clients = parse_num(&value("--clients"), "--clients"),
-            "--rounds" => parsed.rounds = parse_num(&value("--rounds"), "--rounds"),
-            "--rate" => parsed.rate = parse_num(&value("--rate"), "--rate"),
-            "--requests" => parsed.requests = parse_num(&value("--requests"), "--requests"),
-            "--bench-seed" => parsed.bench_seed = parse_num(&value("--bench-seed"), "--bench-seed"),
-            "--max-inflight" => {
-                parsed.max_inflight = parse_num(&value("--max-inflight"), "--max-inflight")
-            }
-            "--sweep" => {
-                parsed.sweep = value("--sweep")
-                    .split(',')
-                    .map(|r| parse_num(r.trim(), "--sweep"))
-                    .collect()
-            }
-            "--timeout-secs" => {
-                timeout_flag = Some(parse_num(&value("--timeout-secs"), "--timeout-secs"));
-            }
-            "--help" | "-h" => usage(),
+            "--addr" => parsed.addr = cli.string(),
+            "--workload" => parsed.workloads.push(cli.string()),
+            "--scheme" => parsed.schemes.push(cli.string()),
+            "--delta" => parsed.deltas.push(cli.string()),
+            "--refs" => parsed.refs = Some(cli.value()),
+            "--seed" => parsed.seed = Some(cli.value()),
+            "--rate" => parsed.rate = cli.value(),
+            "--requests" => parsed.requests = cli.value(),
+            "--bench-seed" => parsed.bench_seed = cli.value(),
+            "--max-inflight" => parsed.max_inflight = cli.value(),
+            "--sweep" => parsed.sweep = cli.list(),
+            "--timeout-secs" => timeout_flag = Some(cli.value()),
             cmd if parsed.cmd.is_empty() && !cmd.starts_with('-') => parsed.cmd = cmd.to_string(),
-            other => {
-                eprintln!("error: unexpected argument `{other}`");
-                usage()
-            }
+            _ => cli.unknown(),
         }
     }
     if parsed.cmd.is_empty() {
-        usage()
+        cli.fail("missing command");
     }
-    parsed.timeout = resolve_timeout(timeout_flag);
+    let positive = |rate: &f64| rate.is_finite() && *rate > 0.0;
+    if !positive(&parsed.rate) || !parsed.sweep.iter().all(positive) {
+        cli.fail("--rate and --sweep rates must be positive");
+    }
+    // `--timeout-secs` beats `PIPM_CLIENT_TIMEOUT_SECS` beats the 600 s
+    // default; `0` means no timeout at all.
+    parsed.timeout = match timeout_flag.or(env_timeout) {
+        None => Some(DEFAULT_READ_TIMEOUT),
+        Some(0) => None,
+        Some(secs) => Some(Duration::from_secs(secs)),
+    };
     parsed
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, name: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: {name} expects a number, got `{raw}`");
-        usage()
-    })
 }
 
 /// Parses the repeatable `--delta KEY=VALUE` flags into one JSON delta
 /// object (numbers only — every late-binding cfg key is numeric).
 fn delta_object(args: &Args) -> Json {
     if args.deltas.is_empty() {
-        eprintln!("error: whatif needs at least one --delta KEY=VALUE");
-        usage()
+        cli::fail(USAGE, "whatif needs at least one --delta KEY=VALUE");
     }
     let fields = args
         .deltas
         .iter()
         .map(|spec| {
             let Some((key, raw)) = spec.split_once('=') else {
-                eprintln!("error: --delta expects KEY=VALUE, got `{spec}`");
-                usage()
+                cli::fail(
+                    USAGE,
+                    format_args!("--delta expects KEY=VALUE, got `{spec}`"),
+                );
             };
             let value = if let Ok(n) = raw.parse::<u64>() {
                 Json::UInt(n)
             } else if let Ok(f) = raw.parse::<f64>() {
                 Json::Num(f)
             } else {
-                eprintln!("error: --delta {key} expects a numeric value, got `{raw}`");
-                usage()
+                cli::fail(
+                    USAGE,
+                    format_args!("--delta {key} expects a numeric value, got `{raw}`"),
+                );
             };
             (key.to_string(), value)
         })
@@ -198,8 +160,10 @@ fn delta_object(args: &Args) -> Json {
 /// that delta on every job.
 fn submit_line(args: &Args, delta: Option<Json>) -> String {
     if args.workloads.is_empty() || args.schemes.is_empty() {
-        eprintln!("error: submit/whatif/load need at least one --workload and one --scheme");
-        usage()
+        cli::fail(
+            USAGE,
+            "submit/whatif/bench need at least one --workload and one --scheme",
+        );
     }
     let pairs: Vec<(String, String)> = if args.schemes.len() == 1 {
         args.workloads
@@ -218,8 +182,10 @@ fn submit_line(args: &Args, delta: Option<Json>) -> String {
             .zip(args.schemes.iter().cloned())
             .collect()
     } else {
-        eprintln!("error: --workload/--scheme counts must match (or one side be single)");
-        usage()
+        cli::fail(
+            USAGE,
+            "--workload/--scheme counts must match (or one side be single)",
+        );
     };
     let jobs: Vec<Json> = pairs
         .into_iter()
@@ -352,29 +318,6 @@ fn run() -> std::io::Result<bool> {
             }
             Ok(ok)
         }
-        "load" => {
-            let line = submit_line(&args, None);
-            let start = Instant::now();
-            let report = load_generate_with_timeout(
-                &args.addr,
-                &line,
-                args.clients,
-                args.rounds,
-                args.timeout,
-            );
-            let elapsed = start.elapsed();
-            let total = report.ok_rounds + report.error_rounds + report.io_errors;
-            println!(
-                "load: {} clients x {} rounds in {} ms (closed loop: rate below is a \
-                 service rate, not offered load)",
-                args.clients,
-                args.rounds,
-                elapsed.as_millis(),
-            );
-            println!("{}", report.summary_line(elapsed));
-            print_metrics(&args.addr, args.timeout)?;
-            Ok(total > 0 && report.ok_rounds == total)
-        }
         "bench" => {
             let line = submit_line(&args, None);
             if args.sweep.is_empty() {
@@ -409,10 +352,7 @@ fn run() -> std::io::Result<bool> {
                 Ok(all_ok)
             }
         }
-        other => {
-            eprintln!("error: unknown command `{other}`");
-            usage()
-        }
+        other => cli::fail(USAGE, format_args!("unknown command `{other}`")),
     }
 }
 

@@ -1,24 +1,11 @@
-//! Line-oriented client and closed-loop load generator.
-//!
-//! [`Client`] is the thin request/response primitive (one line out, one
-//! line back); [`load_generate`] drives N concurrent clients for M
-//! rounds each against a daemon and aggregates latency and error
-//! counts, which is how the CI smoke job observes warm-cache behaviour.
-//!
-//! `load_generate` is a **closed loop**: each client sends its next
-//! round only after the previous response returns, so its "throughput"
-//! is really the daemon's service rate at concurrency N — it can never
-//! overload the daemon, and it under-reports latency under saturation
-//! (coordinated omission). Its reports therefore label themselves
-//! `mode=closed-loop` ([`bench::CLOSED_LOOP_MODE`](crate::bench));
-//! for capacity probing use the open-loop benchmark in
-//! [`bench`](crate::bench) instead.
+//! Line-oriented client: the thin request/response primitive (one line
+//! out, one line back) that the `pipm-client` binary and the open-loop
+//! load generator in [`bench`](crate::bench) are built on.
 
 use crate::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One protocol connection to a `pipm-serve` daemon.
 pub struct Client {
@@ -100,161 +87,11 @@ impl Client {
     }
 }
 
-/// Aggregate outcome of a [`load_generate`] run.
-#[derive(Clone, Debug, Default)]
-pub struct LoadReport {
-    /// Rounds that returned `{"ok":true}`.
-    pub ok_rounds: u64,
-    /// Rounds rejected with a structured error (e.g. `overloaded`).
-    pub error_rounds: u64,
-    /// Rounds that failed at the transport level.
-    pub io_errors: u64,
-    /// Per-round latencies, unordered.
-    pub latencies: Vec<Duration>,
-}
-
-impl LoadReport {
-    /// Latency at `q` in [0,1] (nearest-rank on the sorted samples).
-    pub fn latency_quantile(&self, q: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort();
-        let rank = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[rank]
-    }
-
-    /// The one-line summary the `pipm-client load` command prints and
-    /// tests assert on. Always begins `load mode=closed-loop`: the
-    /// generator is response-gated, so the rate here is the daemon's
-    /// service rate at this concurrency, **not** an offered load — it
-    /// used to be easy to misread as one (see the open-loop
-    /// counterpart in [`bench`](crate::bench)).
-    pub fn summary_line(&self, elapsed: Duration) -> String {
-        let secs = elapsed.as_secs_f64();
-        let service_rps = if secs > 0.0 {
-            self.ok_rounds as f64 / secs
-        } else {
-            0.0
-        };
-        format!(
-            "load mode={} rounds_ok={} rounds_rejected={} io_errors={} \
-             service_rps={service_rps:.2} p50_ms={:.3} p90_ms={:.3} p99_ms={:.3}",
-            crate::bench::CLOSED_LOOP_MODE,
-            self.ok_rounds,
-            self.error_rounds,
-            self.io_errors,
-            self.latency_quantile(0.50).as_secs_f64() * 1e3,
-            self.latency_quantile(0.90).as_secs_f64() * 1e3,
-            self.latency_quantile(0.99).as_secs_f64() * 1e3,
-        )
-    }
-
-    fn merge(&mut self, other: LoadReport) {
-        self.ok_rounds += other.ok_rounds;
-        self.error_rounds += other.error_rounds;
-        self.io_errors += other.io_errors;
-        self.latencies.extend(other.latencies);
-    }
-}
-
-/// Drives `clients` concurrent connections, each submitting the same
-/// request line `rounds` times in a closed loop (next round starts when
-/// the previous response arrives). Identical submissions exercise the
-/// daemon's run cache: the first completions are misses or in-flight
-/// waits, the rest are hits.
-pub fn load_generate(addr: &str, request_line: &str, clients: usize, rounds: usize) -> LoadReport {
-    load_generate_with_timeout(
-        addr,
-        request_line,
-        clients,
-        rounds,
-        Some(DEFAULT_READ_TIMEOUT),
-    )
-}
-
-/// [`load_generate`] with an explicit per-connection read timeout
-/// (`None` blocks forever); a timed-out round counts as an I/O error.
-pub fn load_generate_with_timeout(
-    addr: &str,
-    request_line: &str,
-    clients: usize,
-    rounds: usize,
-    read_timeout: Option<Duration>,
-) -> LoadReport {
-    let handles: Vec<_> = (0..clients.max(1))
-        .map(|_| {
-            let addr = addr.to_string();
-            let line = request_line.to_string();
-            thread::spawn(move || {
-                let mut report = LoadReport::default();
-                let mut client = match Client::connect_with_timeout(&addr, read_timeout) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        report.io_errors += rounds as u64;
-                        return report;
-                    }
-                };
-                for _ in 0..rounds {
-                    let start = Instant::now();
-                    match client.request_json(&line) {
-                        Ok(json) => {
-                            report.latencies.push(start.elapsed());
-                            if json.get("ok").and_then(Json::as_bool) == Some(true) {
-                                report.ok_rounds += 1;
-                            } else {
-                                report.error_rounds += 1;
-                            }
-                        }
-                        Err(_) => {
-                            report.io_errors += 1;
-                            // The daemon drops a connection after some
-                            // rejections (oversized lines); reconnect.
-                            match Client::connect_with_timeout(&addr, read_timeout) {
-                                Ok(c) => client = c,
-                                Err(_) => {
-                                    report.io_errors += rounds as u64;
-                                    return report;
-                                }
-                            }
-                        }
-                    }
-                }
-                report
-            })
-        })
-        .collect();
-    let mut total = LoadReport::default();
-    for h in handles {
-        if let Ok(r) = h.join() {
-            total.merge(r);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    // Regression test: the closed-loop generator's summary used to
-    // print a bare rate that read as offered load; the discipline is
-    // now part of the line.
-    #[test]
-    fn closed_loop_summary_is_labeled() {
-        let report = LoadReport {
-            ok_rounds: 4,
-            ..LoadReport::default()
-        };
-        let line = report.summary_line(Duration::from_secs(2));
-        assert!(
-            line.starts_with("load mode=closed-loop "),
-            "summary must lead with its mode label: {line}"
-        );
-        assert!(line.contains("service_rps=2.00"), "line: {line}");
-    }
+    use std::time::Instant;
 
     // Regression test: the read timeout used to be hardcoded to 600 s
     // inside `connect`, so a silent daemon wedged every caller for ten

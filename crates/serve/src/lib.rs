@@ -19,10 +19,10 @@
 //!   results as `fill`s so every node serves warm byte-identical hits,
 //!   health-probes its peers, and falls back to local compute when a
 //!   node dies — a kill costs latency, never correctness.
-//! - **Client** ([`client`], [`bench`]): a thin line-oriented client, a
-//!   closed-loop load generator, and an open-loop Poisson benchmark
-//!   (latency percentiles, saturation sweep) used by the `pipm-client`
-//!   binary and the CI smoke tests.
+//! - **Client** ([`client`], [`bench`]): a thin line-oriented client and
+//!   an open-loop Poisson load generator (latency percentiles,
+//!   saturation sweep) used by the `pipm-client` binary and the CI smoke
+//!   tests.
 //! - **Robustness**: malformed input, unknown names, over-limit
 //!   requests, and simulator panics all produce structured error
 //!   responses ([`proto::kind`]) and never terminate the daemon; a

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod cli;
 pub mod config;
 pub mod hash;
 pub mod ids;

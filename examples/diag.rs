@@ -9,18 +9,19 @@
 //! experiment scale.
 
 use pipm_core::System;
+use pipm_types::cli::Cli;
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 
+const USAGE: &str = "usage: [WL=NAME] [REFS=N] [FULL=1] diag";
+
 fn main() {
-    let refs: u64 = std::env::var("REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60_000);
-    let wl: pipm_workloads::Workload = std::env::var("WL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Workload::Pr);
+    let mut cli = Cli::new(USAGE);
+    if cli.next().is_some() {
+        cli.unknown();
+    }
+    let refs: u64 = cli.env("REFS").unwrap_or(60_000);
+    let wl: Workload = cli.env("WL").unwrap_or(Workload::Pr);
     let params = WorkloadParams {
         refs_per_core: refs,
         seed: 5,

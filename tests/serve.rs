@@ -14,7 +14,8 @@
 //! in `metrics`).
 
 use pipm_core::{job_key, resume_one, run_one, run_prefix_one, CfgDelta, SWEEP_WARMUP_FRACTION};
-use pipm_serve::client::{load_generate, Client};
+use pipm_serve::bench::{run_open_loop, OpenLoopConfig};
+use pipm_serve::client::{Client, DEFAULT_READ_TIMEOUT};
 use pipm_serve::json::Json;
 use pipm_serve::proto::encode_result;
 use pipm_serve::server::{Server, ServerConfig, ShutdownHandle};
@@ -135,17 +136,23 @@ fn concurrent_identical_submissions_compute_once() {
     let daemon = Daemon::start(cfg);
     let line = submit_line("cc", "pipm", REFS, SEED);
 
-    let report = load_generate(&daemon.addr, &line, 6, 4);
-    assert_eq!(report.ok_rounds, 24, "all rounds should succeed");
-    assert_eq!(report.error_rounds, 0);
+    // 24 arrivals scheduled well faster than the daemon serves them, on
+    // 6 connections: the first wave races on the one uncached job.
+    let report = run_open_loop(&OpenLoopConfig {
+        addr: daemon.addr.clone(),
+        request_line: line,
+        rate_hz: 10_000.0,
+        requests: 24,
+        seed: SEED,
+        max_inflight: 6,
+        read_timeout: Some(DEFAULT_READ_TIMEOUT),
+    });
+    assert_eq!(report.ok, 24, "all requests should succeed");
+    assert_eq!(report.errors, 0);
     assert_eq!(report.io_errors, 0);
-    // The generator is response-gated; its summary must say so instead
-    // of passing its service rate off as offered load.
     assert!(
-        report
-            .summary_line(Duration::from_secs(1))
-            .starts_with("load mode=closed-loop "),
-        "closed-loop report must label its discipline"
+        report.summary_line().starts_with("bench mode=open-loop "),
+        "the report must label its discipline"
     );
 
     let mut client = daemon.client();
@@ -157,11 +164,11 @@ fn concurrent_identical_submissions_compute_once() {
     assert_eq!(metric(&mut client, "jobs_completed"), 24);
     let hits = metric(&mut client, "cache_hits");
     let dedup = metric(&mut client, "cache_inflight_dedup");
-    assert_eq!(hits + 1, 24, "every non-miss round is a hit");
+    assert_eq!(hits + 1, 24, "every non-miss request is a hit");
     // Dedup counter is a subset of hits (waiters on the in-flight slot);
-    // with 6 concurrent clients at least the racing first wave shows up
-    // unless the first round completed before any second arrival, so we
-    // only require it to be consistent, not nonzero.
+    // with 6 concurrent connections at least the racing first wave shows
+    // up unless the first request completed before any second arrival,
+    // so we only require it to be consistent, not nonzero.
     assert!(dedup <= hits);
     daemon.stop();
 }
